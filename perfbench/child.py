@@ -4,6 +4,9 @@
         one set-up sample in this fresh interpreter, printed as JSON
     python3 perfbench/child.py fill <spec.json> <scale> <n_jobs> <dir>
         run the campaign cold into <dir>/store (warm-replay preparation)
+    python3 perfbench/child.py pace
+        time the host-speed kernels until standard input closes, then
+        print the samples as JSON (see hostspeed.py)
 """
 
 import json
@@ -13,10 +16,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import harness  # noqa: E402  (after the path set-up)
+import hostspeed  # noqa: E402
 
 
 def main(argv):
-    command, spec_path, scale = argv[0], Path(argv[1]), float(argv[2])
+    command = argv[0]
+    if command == "pace":
+        hostspeed.pace()
+        return
+    spec_path, scale = Path(argv[1]), float(argv[2])
     if command == "setup":
         print(json.dumps(harness.measure_setup(spec_path, scale)))
     elif command == "fill":

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+import hostspeed
 from tracing import Tracer, layer_totals, self_times, tail_percentile
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +48,7 @@ PINNED_DIGESTS = HERE / "digests.json"
 DEFAULT_SEED = 0
 #: Set-up samples per run, each in a fresh interpreter (a sample is
 #: ~0.3 s and single samples swing by a third on a shared host).
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
 #: Minimum replays per warm run, whatever ``--seconds`` says.
 MIN_REPLAYS = 6
 #: Store snapshots kept for warm replays (newest first).
@@ -68,6 +69,13 @@ class Workload:
     @property
     def key(self) -> str:
         return f"{self.campaign}@{self.scale}"
+
+    @property
+    def kernel(self) -> str:
+        """The host-speed kernel whose slowdowns the timed work follows
+        (see hostspeed.py): cold campaigns spend their time in the
+        simulator, warm replays in JSON, hashing and file reads."""
+        return "interp" if self.warm else "memory"
 
 
 #: Two workloads keep every run long enough to average over the host's
@@ -181,15 +189,19 @@ def measure_setup(spec_path: Path, scale: float) -> Dict[str, float]:
 
 def setup_samples(spec_path: Path, scale: float) -> List[Dict[str, float]]:
     """:func:`measure_setup` in fresh interpreters, so every sample
-    pays the imports the way a user's process does."""
+    pays the imports the way a user's process does.  Each sample also
+    holds its interpreter's ``window`` (perf_counter start and end)."""
     samples = []
     for _ in range(SETUP_SAMPLES):
+        start = time.perf_counter()
         out = subprocess.run(
             [sys.executable, str(HERE / "child.py"), "setup",
              str(spec_path), repr(scale)],
             capture_output=True, text=True, check=True, timeout=120,
         )
-        samples.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        sample = json.loads(out.stdout.strip().splitlines()[-1])
+        sample["window"] = (start, time.perf_counter())
+        samples.append(sample)
     return samples
 
 
@@ -410,12 +422,18 @@ class DigestBook:
 
 @dataclass
 class Outcome:
-    wall: float
+    wall: float         #: raw seconds of the timed window
     submitted: int
     failed: int
     ok: bool
     accesses: int = 0
     retried: int = 0
+    start: float = 0.0  #: perf_counter at the window's start
+
+    def scaled(self, samples, kernel: str) -> float:
+        """``wall`` at the reference host speed (see hostspeed.py)."""
+        return self.wall * hostspeed.factor(
+            samples, self.start, self.start + self.wall, kernel)
 
 
 class Run:
@@ -467,7 +485,7 @@ class Run:
         stats = result.stats
         return Outcome(wall, stats.submitted,
                        stats.submitted if not ok else stats.quarantined,
-                       ok, accesses, stats.retried)
+                       ok, accesses, stats.retried, t0)
 
     # -- warm ----------------------------------------------------------
 
@@ -538,7 +556,7 @@ class Run:
         stats = result.stats
         return Outcome(wall, stats.submitted,
                        stats.submitted if not ok else stats.quarantined,
-                       ok, 0, stats.retried)
+                       ok, 0, stats.retried, t0)
 
 
 def settle() -> None:
@@ -610,7 +628,6 @@ def _run(workload: Workload, seed: int, seconds: float, trace: bool,
 
     run.spec_path.write_text(json.dumps(
         generated_spec(workload.campaign, seed), indent=1))
-    samples = setup_samples(run.spec_path, workload.scale)
     spec = campaigns.get_campaign(str(run.spec_path))
     plan = campaigns.plan_campaign(spec, scale=workload.scale)
 
@@ -624,38 +641,53 @@ def _run(workload: Workload, seed: int, seconds: float, trace: bool,
         snapshot, accesses, snapshot_ok = run.ensure_snapshot(plan)
         store = work / "warm-store"
         shutil.copytree(snapshot, store)
-        start = time.perf_counter()
-        index = 0
-        while index < MIN_REPLAYS or time.perf_counter() - start < seconds:
-            if tracer is not None and index % 2:
-                tracer.run_id = f"replay-{index}"
-                outcome = run.replay(spec, snapshot, store, False, tracer)
-                traced.append((outcome, tracer.run_id))
-            else:
-                untraced.append(run.replay(spec, snapshot, store, index == 0))
-            index += 1
-    else:
-        if tracer is not None:
-            recorded = recorded_walls(workload)
-        if not recorded:
-            untraced.append(run.cold(spec, plan))
-        if tracer is not None:
-            tracer.run_id = "cold"
-            traced.append((run.cold(spec, plan, tracer), tracer.run_id))
-        accesses = (untraced or [o for o, _ in traced])[0].accesses
+    elif tracer is not None:
+        recorded = recorded_walls(workload)
+    # Every timed window (set-up included) runs under the pacer, and is
+    # scaled to the reference host speed once the pacer has stopped.
+    with hostspeed.Pacer() as pacer:
+        samples = setup_samples(run.spec_path, workload.scale)
+        if workload.warm:
+            start = time.perf_counter()
+            index = 0
+            while index < MIN_REPLAYS or time.perf_counter() - start < seconds:
+                if tracer is not None and index % 2:
+                    tracer.run_id = f"replay-{index}"
+                    outcome = run.replay(spec, snapshot, store, False, tracer)
+                    traced.append((outcome, tracer.run_id))
+                else:
+                    untraced.append(
+                        run.replay(spec, snapshot, store, index == 0))
+                index += 1
+        else:
+            if not recorded:
+                untraced.append(run.cold(spec, plan))
+            if tracer is not None:
+                tracer.run_id = "cold"
+                traced.append((run.cold(spec, plan, tracer), tracer.run_id))
+            accesses = (untraced or [o for o, _ in traced])[0].accesses
+        # Before the pacer is reaped, so its memory does not count.
+        peak_rss = _peak_rss_mb(not workload.warm)
+    speed = pacer.samples
+    host_speed = hostspeed.factor(speed, speed[0][0], speed[-1][0],
+                                  workload.kernel)
 
     outcomes = untraced + [o for o, _ in traced]
     attempted = sum(o.submitted for o in outcomes)
     failed = sum(o.failed for o in outcomes)
     correct = snapshot_ok and all(o.ok for o in outcomes)
-    wall = statistics.median([o.wall for o in untraced] or recorded)
+    wall = statistics.median(
+        [o.scaled(speed, workload.kernel) for o in untraced] or recorded)
 
     if tracer is None:
         metrics = {
-            "setup_s": statistics.median(sum(s.values()) for s in samples),
+            "setup_s": statistics.median(
+                (s["import_s"] + s["code_version_s"] + s["plan_s"])
+                * hostspeed.factor(speed, *s["window"], "interp")
+                for s in samples),
             "wall_s": wall,
             "sim_accesses_per_s": accesses / wall,
-            "peak_rss_mb": _peak_rss_mb(not workload.warm),
+            "peak_rss_mb": peak_rss,
             "ok_share": 1.0 - failed / attempted,
         }
     else:
@@ -673,7 +705,8 @@ def _run(workload: Workload, seed: int, seconds: float, trace: bool,
         metrics["campaigns.plan_s"] = statistics.median(
             s["plan_s"] for s in samples)
         metrics["trace.overhead_s"] = statistics.median(
-            o.wall for o, _ in traced) - wall
+            o.scaled(speed, workload.kernel) for o, _ in traced) - wall
+        metrics["host.speed"] = host_speed
         save_trace(workload, seed, spans)
     units = declared_units("per_layer" if trace else "end_to_end")
     if set(metrics) != set(units):
@@ -686,6 +719,15 @@ def _run(workload: Workload, seed: int, seconds: float, trace: bool,
         "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **provenance(),
         "runs": len(outcomes),
+        "raw_wall_s": statistics.median(o.wall for o in outcomes),
+        "host_speed": host_speed,
+        "host_steal_share": hostspeed.window_steal_share(
+            speed, speed[0][0], speed[-1][0]),
+        "host_kernel_s": {
+            name: hostspeed.window_kernel_s(
+                speed, speed[0][0], speed[-1][0], name)
+            for name in hostspeed.KERNELS
+        },
         "correct": correct,
         "metrics": metrics,
     }

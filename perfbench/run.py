@@ -1,6 +1,6 @@
 """Campaign benchmark entry point.
 
-    python3 perfbench/run.py --workload paper-cold --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload paper-cold --seed 0 --seconds 20 --trace 0
 
 Runs one workload of perfbench/harness.py from the root of a checkout,
 checks the program's outputs, and prints one JSON object as the last
@@ -23,7 +23,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=sorted(harness.WORKLOADS))
     parser.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     out = harness.run_workload(
