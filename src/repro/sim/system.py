@@ -494,8 +494,8 @@ class SimulatedSystem:
             throttle_events=throttle_events,
         )
         if self._probe is not None:
-            # Turbo calls _collect after the arena write-back, so the
-            # final record reads authoritative state on every backend.
+            # Both backends keep tracker state on the per-bank objects,
+            # so the final record reads the same state either way.
             self._probe.finalize(self, result)
         return result
 

@@ -42,18 +42,13 @@ suite and the cross-backend property tests).
 Same-cycle bank events land on distinct banks (a bank schedules at
 most one serve per cycle), so per-sketch batches within an epoch stay
 tiny (~1.02 events measured); what *does* pay cross-bank is shared
-state, not shared batches.  When every bank runs the same stock
-scheme, the tracker arenas (:mod:`repro.sim.arena`) adopt all banks'
-tracker state at construction — one ``(banks, 2, size)`` dual-CBF
-tensor with a merged pre-hashed probe cache for BlockHammer (per-ACT
-updates defer to the epoch boundary and flush as a batch), the exact
-per-bank CbS summaries plus stacked count matrices for
-Mithril/Graphene, one flat RAA vector for RFM — and the drain
-dispatches per-ACT work through them.  Mixed or non-stock
-configurations keep the per-bank inline handlers above.  Arena state
-is written back to the per-bank objects when ``run`` returns, so
-post-run inspection is backend-invariant — measured honestly in
-docs/ENGINE.md.
+state, not shared batches.  The one piece of state worth sharing is
+BlockHammer's probe-index cache: probe indices depend only on the
+row and the filter's ``(size, num_hashes, seed)``, and every bank
+shares the factory's seeds, so the banks' filters take one cache dict
+per seed at construction, pre-hashed from the trace decode in one
+vectorized pass (bounded by the filter's own cache limit, dropped
+with the system).
 """
 
 from __future__ import annotations
@@ -76,12 +71,6 @@ from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.protection import NoProtection
-from repro.sim.arena import (
-    BlockHammerArena,
-    CbsArena,
-    RaaArena,
-    TrackerArenas,
-)
 from repro.sim.metrics import SimulationResult
 from repro.sim.soa import decode_traces
 from repro.sim.system import (
@@ -96,11 +85,13 @@ from repro.sim.system import (
     _SEQ_LIMIT,
     SimulatedSystem,
 )
+from repro.streaming import counting_bloom
 from repro.streaming.cbs import CounterSummary
 from repro.streaming.counting_bloom import (
     CountingBloomFilter,
     DualCountingBloomFilter,
 )
+from repro.streaming.vectorized import _ProbeTable
 from repro.types import MemoryRequest, RowAddress
 
 #: Page-policy encodings for the fused path.
@@ -110,11 +101,6 @@ _POLICY_OPEN, _POLICY_CLOSED, _POLICY_MINIMALIST = 0, 1, 2
 _ACT_GENERIC, _ACT_NONE, _ACT_MITHRIL, _ACT_BLOCKHAMMER, _ACT_GRAPHENE = (
     0, 1, 2, 3, 4
 )
-
-#: Arena dispatch codes (see _install_arenas): every bank runs the
-#: same stock scheme and the per-ACT path goes through the cross-bank
-#: arena instead of the per-bank inline block.
-_ACT_MITHRIL_ARENA, _ACT_BLOCKHAMMER_ARENA, _ACT_GRAPHENE_ARENA = 5, 6, 7
 
 #: Throttle-release specializations.
 _THROTTLE_NEVER, _THROTTLE_BLOCKHAMMER, _THROTTLE_GENERIC = 0, 1, 2
@@ -154,9 +140,8 @@ class TurboSimulatedSystem(SimulatedSystem):
             self._request_pool,
         )
         self._fused = self._snapshot_fusability()
-        #: cross-bank tracker arenas; installed only when every bank
-        #: runs the same stock scheme (see _install_arenas).
-        self._arenas = self._install_arenas() if self._fused else None
+        if self._fused:
+            self._share_index_caches()
 
     # ------------------------------------------------------------------
 
@@ -168,9 +153,6 @@ class TurboSimulatedSystem(SimulatedSystem):
 
     def _snapshot_fusability(self) -> bool:
         """True when every component is stock (fused path is exact)."""
-        # Any re-snapshot invalidates previously installed arenas:
-        # their dispatch codes are rebuilt from scratch below.
-        self._arenas = None
         self._bliss_channel = []
         for scheduler in self._schedulers:
             if type(scheduler) not in (BlissScheduler, FrFcfsScheduler):
@@ -304,49 +286,35 @@ class TurboSimulatedSystem(SimulatedSystem):
         self._bank_ctx = [tuple(ctx) for ctx in contexts]
         return True
 
-    def _install_arenas(self) -> Optional[TrackerArenas]:
-        """Adopt per-bank tracker state into cross-bank arenas.
+    def _share_index_caches(self) -> None:
+        """Give the inline BlockHammer banks one probe-index cache per
+        filter geometry, pre-hashed from the trace decode.
 
-        Engages only when *every* bank carries the same single
-        ``_ACT_*`` specialization — i.e. all banks run the same stock
-        scheme; mixed or non-stock configurations return None and the
-        fused drain keeps the exact per-bank inline handlers.  On
-        success ``_act_mode`` and the per-flat contexts are remapped
-        to the ``*_ARENA`` dispatch codes, and an RAA vector is added
-        when every bank also carries fused RFM logic.
+        Indices depend only on ``(size, num_hashes, seed)`` and the
+        row, so banks built from one factory hash each row once for
+        all of them, in one vectorized pass here rather than one
+        python probe loop per row on first ACT (measured in
+        docs/ENGINE.md).  The shared dict keeps the filter's own
+        ``_INDEX_CACHE_LIMIT`` bound and lives as long as the system.
         """
-        act_modes = self._act_mode
-        first = act_modes[0]
-        if any(mode != first for mode in act_modes):
-            return None
-        schemes = [ctx[6] for ctx in self._bank_ctx]
-        try:
-            if first == _ACT_MITHRIL:
-                arenas = TrackerArenas(cbs=CbsArena.for_mithril(schemes))
-                remap = _ACT_MITHRIL_ARENA
-            elif first == _ACT_BLOCKHAMMER:
-                blockhammer = BlockHammerArena(schemes)
-                for soa in self._soa:
-                    blockhammer.prefill(soa.rows)
-                arenas = TrackerArenas(blockhammer=blockhammer)
-                remap = _ACT_BLOCKHAMMER_ARENA
-            elif first == _ACT_GRAPHENE:
-                arenas = TrackerArenas(cbs=CbsArena.for_graphene(schemes))
-                remap = _ACT_GRAPHENE_ARENA
-            else:  # NoProtection / generic: nothing to share
-                return None
-        except ValueError:  # non-uniform tracker geometry
-            return None
-        if self._fast_rfm and all(self._fast_rfm):
-            # fast_rfm implies rfm_logic is present and stock
-            arenas.raa = RaaArena(
-                [ctx[0].rfm_logic for ctx in self._bank_ctx]
-            )
-        self._act_mode = [remap] * len(act_modes)
-        self._bank_ctx = [
-            ctx[:9] + (remap,) + ctx[10:] for ctx in self._bank_ctx
-        ]
-        return arenas
+        shared = {}
+        for ctx in self._bank_ctx:
+            if ctx[9] != _ACT_BLOCKHAMMER:
+                continue
+            for cbf_filter in ctx[6].cbf._filters:
+                key = (
+                    cbf_filter.size, cbf_filter.num_hashes,
+                    cbf_filter._seed,
+                )
+                cbf_filter._index_cache = shared.setdefault(key, {})
+        if not shared:
+            return
+        rows = list(dict.fromkeys(
+            row for soa in self._soa for row in soa.rows
+        ))[:counting_bloom._INDEX_CACHE_LIMIT]
+        for (size, hashes, seed), cache in shared.items():
+            table = _ProbeTable(seed, hashes, size, [0] * hashes)
+            cache.update(zip(rows, table.index_matrix(rows).tolist()))
 
     # ------------------------------------------------------------------
     # SoA issue path (overrides the scalar entry-object path)
@@ -508,11 +476,6 @@ class TurboSimulatedSystem(SimulatedSystem):
             finally:
                 if was_enabled:
                     gc.enable()
-                if self._arenas is not None:
-                    # Post-run inspection (blacklists, filter state,
-                    # RAA counts) must see what the scalar backend
-                    # leaves on the per-bank objects.
-                    self._arenas.write_back()
         else:
             span = (
                 tel.span("sim.drain", backend="turbo", fused=False)
@@ -521,15 +484,14 @@ class TurboSimulatedSystem(SimulatedSystem):
             with span:
                 self._drain_generic(max_cycles)
         if tel is not None:
-            counts = dict(
-                self._arenas.counters() if self._arenas is not None else {}
-            )
-            counts["soa.window_loads"] = sum(
+            window_loads = sum(
                 getattr(soa, "loads", 0) for soa in self._soa
             )
-            for name, value in counts.items():
-                tel.counter(name, value)
-            tel.event("sim.run.done", backend="turbo", **counts)
+            tel.counter("soa.window_loads", window_loads)
+            tel.event(
+                "sim.run.done", backend="turbo",
+                **{"soa.window_loads": window_loads},
+            )
         return self._collect()
 
     def _drain_generic(self, max_cycles: Optional[int]) -> None:
@@ -615,48 +577,27 @@ class TurboSimulatedSystem(SimulatedSystem):
         # inline issue loop below skips the increment its generic twin
         # (_try_issue) performs.  Anything consulting _queue_len after
         # a fused run sees stale zeros.
-        # Cross-bank arena dispatch (see _install_arenas): exactly one
-        # of the observe hooks is bound when arenas are active, and
-        # every bank shares it.
-        arenas = self._arenas
-        mithril_observe = graphene_observe = bh_flush = None
-        raa_mem = None
-        if arenas is not None:
-            if arenas.cbs is not None:
-                if arenas.cbs.kind == "mithril":
-                    mithril_observe = arenas.cbs.mithril_observe
-                else:
-                    graphene_observe = arenas.cbs.graphene_observe
-            if arenas.blockhammer is not None:
-                bh_flush = arenas.blockhammer.flush
-            if arenas.raa is not None:
-                raa_mem = arenas.raa.mem
-        #: BlockHammer per-ACT updates deferred within the current
-        #: epoch as (flat, row, start) triples — at most one per bank
-        #: (a bank serves at most once per cycle, and the conflict
-        #: guard below settles the batch before any second same-bank
-        #: event could read stale blacklist state).
-        bh_pending = []
-        bh_append = bh_pending.append
-        bh_pending_flats = set()
         row_hits = 0
         row_misses = 0
         #: probes off ⇒ one inf-compare per distinct event cycle and
         #: one None-check per ACT; probes on ⇒ sample at the top of the
-        #: epoch, where bh_pending is empty (settled at the previous
-        #: epoch boundary) — the same logical point as the scalar
-        #: backend's per-pop check, so streams match byte for byte.
-        probe = self._probe
-        probe_next = probe.next_cycle if probe is not None else float("inf")
-        probe_acts = None if probe is None else probe.act_counts
+        #: epoch — the same logical point as the scalar backend's
+        #: per-pop check, so streams match byte for byte.
+        #: (``probe`` itself names CBF/CbS cells in the inline tracker
+        #: blocks below, hence ``probe_run``.)
+        probe_run = self._probe
+        probe_next = (
+            probe_run.next_cycle if probe_run is not None else float("inf")
+        )
+        probe_acts = None if probe_run is None else probe_run.act_counts
         seq = self._seq
         while heap:
             cycle = heap[0] >> _CYCLE_SHIFT
             if cycle > limit:
                 break
             if cycle >= probe_next:
-                probe.sample(self, cycle)
-                probe_next = probe.next_cycle
+                probe_run.sample(self, cycle)
+                probe_next = probe_run.next_cycle
             while heap:
                 key = heap[0]
                 if (key >> _CYCLE_SHIFT) != cycle:
@@ -790,12 +731,6 @@ class TurboSimulatedSystem(SimulatedSystem):
                     continue
                 # ---- fused bank event ---------------------------------
                 flat = key & _IDENT_MASK
-                if bh_pending and flat in bh_pending_flats:
-                    # A second event on a bank holding a deferred ACT
-                    # would read a stale blacklist: settle first.
-                    bh_flush(bh_pending)
-                    del bh_pending[:]
-                    bh_pending_flats.clear()
                 bank_scheduled[flat] = False
                 (controller, queue, bank, channel_state, energy,
                  refresh, scheme, hammer, t_mode, a_mode, f_hammer,
@@ -1137,25 +1072,7 @@ class TurboSimulatedSystem(SimulatedSystem):
                         else:
                             hammer.on_activate(row, start)
                     # ---- per-ACT tracker update (specialized) ---------
-                    if a_mode >= _ACT_MITHRIL_ARENA:
-                        # cross-bank arena dispatch (uniform stock
-                        # scheme; see repro.sim.arena for exactness)
-                        if a_mode == _ACT_BLOCKHAMMER_ARENA:
-                            # defer to the epoch boundary; flushed as
-                            # a batch through the shared CBF tensor
-                            bh_append((flat, row, start))
-                            bh_pending_flats.add(flat)
-                        elif a_mode == _ACT_MITHRIL_ARENA:
-                            mithril_observe(flat, row)
-                        else:
-                            arr_victims = graphene_observe(
-                                flat, row, start
-                            )
-                            if arr_victims:
-                                controller._apply_arr(
-                                    arr_victims, start
-                                )
-                    elif a_mode == _ACT_MITHRIL:
+                    if a_mode == _ACT_MITHRIL:
                         # inline MithrilScheme.on_activate +
                         # MithrilTable.record_activation (+ spread),
                         # with the CbS on-table hit (_observe_one +
@@ -1347,28 +1264,13 @@ class TurboSimulatedSystem(SimulatedSystem):
                     if rfm_logic is not None:
                         if f_rfm:
                             # inline RfmIssueLogic.on_activate /
-                            # RaaCounter fast path (below threshold);
-                            # the live count sits in the arena RAA
-                            # vector when one is installed
+                            # RaaCounter fast path (below threshold)
                             raa = rfm_logic.raa
                             raa_th = raa.rfm_th
                             if raa_th > 0:
-                                if raa_mem is not None:
-                                    value = raa_mem[flat] + 1
-                                    if value >= raa_th:
-                                        raa_mem[flat] = 0
-                                        fire = True
-                                    else:
-                                        raa_mem[flat] = value
-                                        fire = False
-                                else:
-                                    raa.value += 1
-                                    if raa.value >= raa_th:
-                                        raa.value = 0
-                                        fire = True
-                                    else:
-                                        fire = False
-                                if fire:
+                                raa.value += 1
+                                if raa.value >= raa_th:
+                                    raa.value = 0
                                     issue = True
                                     if rfm_logic.mrr_gated:
                                         rfm_logic.mrr_reads += 1
@@ -1434,13 +1336,6 @@ class TurboSimulatedSystem(SimulatedSystem):
                         (((retry << _SEQ_BITS) | seq) << _LOW_BITS)
                         | (_BANK << _IDENT_BITS) | flat,
                     )
-            # ---- epoch boundary: settle deferred tracker updates ------
-            if bh_pending:
-                bh_flush(bh_pending)
-                del bh_pending[:]
-                bh_pending_flats.clear()
-        if bh_pending:  # max_cycles cutoff mid-epoch
-            bh_flush(bh_pending)
         self._seq = seq
         self.row_hits += row_hits
         self.row_misses += row_misses

@@ -330,7 +330,7 @@ def per_workload_speedups(
 ) -> List[Dict[str, object]]:
     """Per-(workload, scheme) speedups of candidate over baseline.
 
-    Attributes the aggregate claim: tracker-arena wins should show on
+    Attributes the aggregate claim: a tracker-path win should show on
     tracker-bound pairs (blockhammer, attack mixes) and sit near
     parity on scheduler-bound ones — an aggregate alone can't tell
     those apart.  Rows are matched by (workload, scheme); rows missing

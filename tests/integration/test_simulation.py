@@ -1,5 +1,7 @@
 """Integration: end-to-end system simulation sanity and shape checks."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.mithril import MithrilScheme
@@ -191,3 +193,47 @@ class TestArrSchemesInSimulation:
         assert result.rfm_commands > 0
         # PARFM refreshes victims on (almost) every RFM command
         assert result.preventive_refresh_rows >= result.rfm_commands
+
+
+class TestInputTracesUnchanged:
+    """``simulate()`` leaves its input traces exactly as it found them
+    — same entry objects, same length, same order — on every backend,
+    including turbo's streamed decode and recycled request pool."""
+
+    @pytest.mark.parametrize(
+        "backend, chunk",
+        [("scalar", None), ("turbo", None), ("turbo", "64")],
+    )
+    @pytest.mark.parametrize("scheme", ["mithril", "blockhammer"])
+    def test_traces_unchanged_after_run(
+        self, scheme, backend, chunk, monkeypatch
+    ):
+        if backend == "turbo":
+            pytest.importorskip("numpy", reason="turbo backend needs numpy")
+        if chunk is not None:
+            monkeypatch.setenv("REPRO_SOA_CHUNK", chunk)
+        from repro.engine.executor import materialize_job
+        from repro.engine.job import SimJob, WorkloadSpec
+
+        spec = WorkloadSpec.make("mix-high", scale=0.2, seed=11)
+        job = SimJob(workload=spec, scheme=scheme, flip_th=2500, scale=0.2)
+        traces, factory, config, rfm_th = materialize_job(job)
+
+        def snapshot():
+            return [
+                (trace.name, trace.entries, list(trace.entries),
+                 [dataclasses.astuple(entry) for entry in trace.entries])
+                for trace in traces
+            ]
+
+        before = snapshot()
+        simulate(
+            traces, scheme_factory=factory, config=config, rfm_th=rfm_th,
+            flip_th=job.flip_th, mlp=job.mlp, backend=backend,
+        )
+        for (name, entries, objects, fields), now in zip(before, snapshot()):
+            assert now[0] == name
+            assert now[1] is entries
+            assert len(now[2]) == len(objects)
+            assert all(a is b for a, b in zip(now[2], objects))
+            assert now[3] == fields

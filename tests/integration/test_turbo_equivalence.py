@@ -22,37 +22,7 @@ from repro.sim.system import SimulatedSystem, make_system
 from repro.sim.turbo import TurboSimulatedSystem
 
 
-#: scheme name -> expected arena shape on the turbo system (None =
-#: no arena; the fused drain keeps the per-bank inline handlers).
-_ARENA_SHAPE = {
-    "none": None,
-    "mithril": "mithril",
-    "mithril+": "mithril",
-    "graphene": "graphene",
-    "blockhammer": "blockhammer",
-    "twice": None,
-    "para": None,
-    "cbt": None,
-}
-
-
-def _assert_arena_shape(system, shape):
-    arenas = system._arenas
-    if shape is None:
-        assert arenas is None
-        return
-    assert arenas is not None
-    if shape == "blockhammer":
-        assert arenas.blockhammer is not None
-        assert arenas.cbs is None and arenas.raa is None
-    else:
-        assert arenas.cbs is not None and arenas.cbs.kind == shape
-        assert arenas.blockhammer is None
-        # Mithril banks carry fused RFM logic -> shared RAA vector.
-        assert (arenas.raa is not None) == (shape == "mithril")
-
-
-def _run_both(job, expect_fused=True, expect_arena="unchecked"):
+def _run_both(job, expect_fused=True):
     traces, factory, config, rfm_th = materialize_job(job)
     results = {}
     for backend in ("scalar", "turbo"):
@@ -69,8 +39,6 @@ def _run_both(job, expect_fused=True, expect_arena="unchecked"):
         if backend == "turbo":
             assert isinstance(system, TurboSimulatedSystem)
             assert system._fused is expect_fused
-            if expect_arena != "unchecked":
-                _assert_arena_shape(system, expect_arena)
         results[backend] = system.run(max_cycles=job.max_cycles)
     assert results["scalar"] == results["turbo"]
     return results["scalar"]
@@ -215,21 +183,21 @@ class TestFusabilityFallback:
 
 
 class TestArenas:
-    """Cross-bank arenas engage for uniform stock schemes and stay
-    byte-identical to the scalar backend; anything mixed or non-stock
-    drops to the exact per-bank inline handlers."""
+    """Uniform stock schemes (the configurations the deleted cross-bank
+    tracker arenas used to cover) and mixed ones run the per-bank
+    inline handlers, byte-identical to the scalar backend, and leave
+    the same post-run state on the per-bank objects."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "mithril+", "graphene",
                    "blockhammer", "twice"]
     )
     def test_arena_engagement_and_equality(self, scheme):
-        _run_both(_job(scheme), expect_arena=_ARENA_SHAPE[scheme])
+        _run_both(_job(scheme))
 
     def test_mixed_schemes_fused_without_arena(self):
         """Alternating stock schemes: each bank still gets its inline
-        specialization (fused), but no arena can span them — and the
-        scalar fallback stays exact."""
+        specialization (fused), and the result stays exact."""
         from repro.core.mithril import MithrilScheme
         from repro.mitigations.graphene import GrapheneScheme
 
@@ -256,12 +224,10 @@ class TestArenas:
             rfm_th=rfm_th, flip_th=job.flip_th,
         )
         assert turbo._fused is True
-        assert turbo._arenas is None
         assert scalar.run() == turbo.run()
 
     def test_raa_write_back_matches_scalar(self):
-        """The shared RAA vector must land back in each bank's
-        RfmIssueLogic after the run."""
+        """Each bank's post-run RAA count equals the scalar backend's."""
         job = _job("mithril+")
         traces, factory, config, rfm_th = materialize_job(job)
         systems = {}
@@ -273,7 +239,7 @@ class TestArenas:
             system.run()
             systems[cls] = system
         scalar, turbo = systems[SimulatedSystem], systems[TurboSimulatedSystem]
-        assert turbo._arenas is not None and turbo._arenas.raa is not None
+        assert turbo._fused is True and all(turbo._fast_rfm)
         assert [
             controller.rfm_logic.raa.value for controller in turbo.banks
         ] == [
@@ -282,8 +248,7 @@ class TestArenas:
 
     def test_blockhammer_write_back_matches_scalar(self):
         """Post-run CBF counters, rotation phase, and blacklists on the
-        scheme objects equal the scalar backend's (the arena owns the
-        state during the run; write_back restores it)."""
+        scheme objects equal the scalar backend's."""
         spec = WorkloadSpec.make(
             "attack", scale=0.2, pattern="multi-sided", seed=31
         )
@@ -313,17 +278,72 @@ class TestArenas:
                 )
 
 
+class TestSharedIndexCache:
+    """BlockHammer banks of one turbo system hash each row once: their
+    filters share one bounded, pre-hashed probe-index dict per filter
+    seed, owned by that system alone."""
+
+    @staticmethod
+    def _caches(system):
+        by_seed = {}
+        for controller in system.banks:
+            for cbf_filter in controller.scheme.cbf._filters:
+                by_seed.setdefault(cbf_filter._seed, []).append(
+                    cbf_filter._index_cache
+                )
+        return by_seed
+
+    def test_one_bounded_dict_per_seed_per_system(self, monkeypatch):
+        from repro.streaming import counting_bloom
+
+        limit = 64
+        monkeypatch.setattr(counting_bloom, "_INDEX_CACHE_LIMIT", limit)
+        job = _job("blockhammer")
+        traces, factory, config, rfm_th = materialize_job(job)
+
+        def build(cls):
+            return cls(
+                traces, scheme_factory=factory, config=config,
+                rfm_th=rfm_th, flip_th=job.flip_th,
+            )
+
+        first = build(TurboSimulatedSystem)
+        first_caches = self._caches(first)
+        assert len(first_caches) == 2  # the dual filter's two seeds
+        shared = {}
+        for seed, caches in first_caches.items():
+            assert all(cache is caches[0] for cache in caches)
+            shared[seed] = caches[0]
+        for cbf_filter in first.banks[0].scheme.cbf._filters:
+            # pre-hashed entries equal the lazy scalar probe indices
+            fresh = counting_bloom.CountingBloomFilter(
+                cbf_filter.size, cbf_filter.num_hashes, cbf_filter._seed
+            )
+            assert cbf_filter._index_cache
+            for row, indices in cbf_filter._index_cache.items():
+                assert indices == fresh._indices(row)
+        assert build(SimulatedSystem).run() == first.run()
+        for cache in shared.values():
+            assert len(cache) == limit  # filled, never past the bound
+        second = build(TurboSimulatedSystem)
+        for seed, caches in self._caches(second).items():
+            assert caches[0] is not shared[seed]
+        second.run()
+        for caches in self._caches(second).values():
+            assert len(caches[0]) <= limit
+
+
 class TestChunkedDecode:
     """Streamed chunked SoA decode is byte-identical to the full
     decode — against both the unchunked turbo run and the scalar
-    backend — with the arenas active."""
+    backend."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "graphene", "blockhammer"]
     )
     def test_chunked_vs_scalar(self, scheme, monkeypatch):
         monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
-        _run_both(_job(scheme), expect_arena=_ARENA_SHAPE[scheme])
+        _run_both(_job(scheme))
 
     def test_chunked_equals_unchunked_turbo(self, monkeypatch):
         from repro.sim.soa import StreamedTraceSoA
