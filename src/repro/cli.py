@@ -17,12 +17,9 @@ cache               Show (or clear / --gc / --migrate) the simulation
                     size/age, ``--query`` against the sharded index.
 campaign <cmd>      Declarative multi-experiment campaigns: list,
                     plan, run (resumable + fault-tolerant: retries,
-                    per-job timeouts, quarantine, graceful drain;
-                    ``--hosts N`` distributes over a coordinator +
-                    host agents with leases and partition tolerance),
-                    agent (one host agent, SSH-launchable), status,
-                    verify (exactly-once store audit; exits 0 clean /
-                    1 findings / 2 unreadable), report
+                    per-job timeouts, quarantine, graceful drain),
+                    status, verify (exactly-once store audit; exits
+                    0 clean / 1 findings / 2 unreadable), report
                     (docs/CAMPAIGNS.md, docs/FAULTS.md).
 bench-speed         Time simulate() on a preset; append to the
                     BENCH_SIM_SPEED.json speed trajectory
@@ -429,40 +426,18 @@ def _cmd_campaign_run(args) -> int:
               f"point(s) ({done} already complete)")
         return 0
     try:
-        if args.hosts > 0:
-            if args.no_cache:
-                print("campaign run --hosts requires the result store "
-                      "(it is the cluster's data plane); drop --no-cache")
-                return 1
-            from repro.cluster import run_campaign_distributed
-
-            result = run_campaign_distributed(
-                spec,
-                directory=args.dir,
-                scale=args.scale,
-                hosts=args.hosts,
-                n_jobs=args.jobs,
-                chunk_size=args.batch_size,
-                progress=print,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                retry_quarantined=args.retry_quarantined,
-                lease_timeout=args.lease_timeout,
-                heartbeat_s=args.heartbeat,
-            )
-        else:
-            result = run_campaign(
-                spec,
-                directory=args.dir,
-                scale=args.scale,
-                n_jobs=args.jobs,
-                use_cache=not args.no_cache,
-                batch_size=args.batch_size,
-                progress=print,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                retry_quarantined=args.retry_quarantined,
-            )
+        result = run_campaign(
+            spec,
+            directory=args.dir,
+            scale=args.scale,
+            n_jobs=args.jobs,
+            use_cache=not args.no_cache,
+            batch_size=args.batch_size,
+            progress=print,
+            max_retries=args.max_retries,
+            job_timeout=args.job_timeout,
+            retry_quarantined=args.retry_quarantined,
+        )
     except CampaignError as error:
         print(error)
         return 1
@@ -472,14 +447,6 @@ def _cmd_campaign_run(args) -> int:
         f"({stats.previously_complete} already complete), "
         f"{stats.simulated} simulated, {stats.cache_hits} cache hits"
     )
-    if getattr(stats, "hosts", 0):
-        print(
-            f"cluster: {stats.hosts} host(s), {stats.chunks} chunk(s), "
-            f"{stats.reassigned} reassigned, "
-            f"{stats.duplicate_results} duplicate result(s) discarded, "
-            f"{stats.hosts_lost} host(s) lost, "
-            f"{stats.hosts_restarted} restarted"
-        )
     print(f"manifest: {result.manifest_path}")
     if result.quarantined:
         print(f"quarantined ({len(result.quarantined)} point(s) — "
@@ -775,28 +742,6 @@ def _cmd_campaign_verify(args) -> int:
     return exit_code
 
 
-def _cmd_campaign_agent(args) -> int:
-    """Run one host agent (normally exec'd by the coordinator).
-
-    This is the process an SSH launcher would start on a remote host:
-    it needs only the cluster spool directory (plus the shared result
-    store via ``REPRO_CACHE_DIR``/``--cache-dir``) — assignments and
-    results flow over the transport.
-    """
-    from repro.cluster import agent_main
-
-    return agent_main(
-        args.host_id,
-        Path(args.cluster_dir),
-        n_jobs=args.jobs,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        cache_dir=args.cache_dir,
-        heartbeat_s=args.heartbeat,
-        parent_pid=args.parent_pid,
-    )
-
-
 def _cmd_campaign_report(args) -> int:
     from repro.campaigns import (
         CampaignError,
@@ -1051,6 +996,20 @@ def _cmd_safety(args) -> int:
     return 0 if report.safe else 1
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1174,10 +1133,10 @@ def main(argv=None) -> int:
     c_run.add_argument("--no-report", action="store_true",
                        help="skip writing report.md/report.json on "
                             "completion")
-    c_run.add_argument("--max-retries", type=int, default=2,
+    c_run.add_argument("--max-retries", type=_non_negative_int, default=2,
                        help="retry budget per job before quarantine "
                             "(crash, exception, or timeout; default 2)")
-    c_run.add_argument("--job-timeout", type=float, default=None,
+    c_run.add_argument("--job-timeout", type=_positive_float, default=None,
                        help="per-job lease in seconds; a job past its "
                             "lease gets its worker killed and retries")
     c_run.add_argument("--retry-quarantined", action="store_true",
@@ -1187,44 +1146,7 @@ def main(argv=None) -> int:
                        help="record scheme-internals probe streams "
                             "under DIR (sets REPRO_PROBES; render with "
                             "`repro probe report`)")
-    c_run.add_argument("--hosts", type=int, default=0,
-                       help="distribute over N host agents (separate "
-                            "processes; 0 = single-host in-process "
-                            "executor).  --jobs becomes the per-host "
-                            "worker count, --batch-size the assignment "
-                            "chunk size")
-    c_run.add_argument("--lease-timeout", type=float, default=5.0,
-                       help="seconds without a heartbeat before a "
-                            "host's lease expires and its outstanding "
-                            "jobs reassign (default 5)")
-    c_run.add_argument("--heartbeat", type=float, default=0.5,
-                       help="host agent heartbeat interval in seconds "
-                            "(default 0.5)")
     c_run.set_defaults(func=_cmd_campaign_run)
-
-    c_agent = csub.add_parser(
-        "agent",
-        help="run one host agent (normally spawned by `campaign run "
-             "--hosts`; same entry point an SSH launcher would exec)",
-    )
-    c_agent.add_argument("--host-id", required=True,
-                         help="logical host id (mailbox host-<id>)")
-    c_agent.add_argument("--cluster-dir", required=True,
-                         help="cluster spool directory "
-                              "(<campaign dir>/<name>/cluster)")
-    c_agent.add_argument("--jobs", type=int, default=1,
-                         help="worker processes on this host")
-    c_agent.add_argument("--max-retries", type=int, default=2)
-    c_agent.add_argument("--job-timeout", type=float, default=None)
-    c_agent.add_argument("--heartbeat", type=float, default=0.5,
-                         help="heartbeat interval in seconds")
-    c_agent.add_argument("--parent-pid", type=int, default=None,
-                         help="exit when this pid disappears "
-                              "(orphan cleanup for local launches)")
-    c_agent.add_argument("--cache-dir", default=None,
-                         help="result store override (defaults to "
-                              "REPRO_CACHE_DIR)")
-    c_agent.set_defaults(func=_cmd_campaign_agent)
 
     c_status = csub.add_parser(
         "status", help="progress of a campaign from its manifest"

@@ -229,6 +229,10 @@ def run_jobs(
         raise ValueError(
             f"on_failure must be 'raise' or 'skip', got {on_failure!r}"
         )
+    if job_timeout is not None and not job_timeout > 0:
+        raise ValueError(f"job_timeout must be > 0, got {job_timeout!r}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
     from repro import telemetry
 
     job_list = list(jobs)

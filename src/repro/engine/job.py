@@ -147,11 +147,10 @@ class SimJob:
     def from_canonical(cls, data: Mapping[str, Any]) -> "SimJob":
         """Rebuild a job from :meth:`canonical` output.
 
-        The inverse the cluster transport needs: assignment messages
-        ship jobs as canonical JSON, and the receiving host agent must
-        reconstruct a job whose :meth:`job_hash` matches the
-        coordinator's — parameter pairs come back as lists after a
-        JSON round-trip and are re-frozen into tuples here.
+        A job stored as canonical JSON (the golden records) rebuilds
+        with a :meth:`job_hash` equal to the original's — parameter
+        pairs come back as lists after a JSON round-trip and are
+        re-frozen into tuples here.
         """
 
         def unpairs(raw: Any) -> Params:

@@ -52,23 +52,13 @@ Kinds:
     :mod:`repro.engine.durable`), which tears the destination file
     mid-payload / flips the sealed checksum.  Only write sites
     implement them; other sites ignore the rule (budget still spent).
-``drop`` / ``delay`` / ``duplicate``
-    Returned to the caller — implemented by the cluster transport in
-    :mod:`repro.cluster.transport`: a dropped message is never
-    written, a delayed one carries a ``not_before`` stamp the receiver
-    honours (``seconds`` sets the delay), a duplicated one is
-    delivered twice.  ``drop`` on ``host.heartbeat`` is how a network
-    partition is injected: the agent keeps working but its heartbeats
-    vanish, so its host lease expires.
 
 Documented sites (see docs/FAULTS.md): ``worker.execute`` (key = job
 hash), ``cache.entry.write`` (job hash), ``manifest.write`` (campaign
-name), ``index.append`` (cache generation), ``transport.send`` /
-``transport.recv`` (``<mailbox>:<message type>``), ``host.heartbeat``
-(host id).  Site names are free-form lowercase dotted identifiers —
-a malformed name (empty, whitespace, uppercase) raises
-:class:`FaultPlanError` at parse time rather than silently never
-matching.
+name), ``index.append`` (cache generation).  Site names are
+free-form lowercase dotted identifiers — a malformed name (empty,
+whitespace, uppercase) raises :class:`FaultPlanError` at parse time
+rather than silently never matching.
 """
 
 from __future__ import annotations
@@ -109,13 +99,10 @@ class InjectedError(InjectedFault):
     """An injected ordinary failure (exercises traceback capture)."""
 
 
-_KINDS = (
-    "crash", "hang", "error", "torn", "corrupt",
-    "drop", "delay", "duplicate",
-)
+_KINDS = ("crash", "hang", "error", "torn", "corrupt")
 
 #: Sites are dotted lowercase identifiers (``manifest.write``,
-#: ``transport.send``).  The format is validated at parse time so a
+#: ``cache.entry.write``).  The format is validated at parse time so a
 #: typo'd site raises instead of silently never matching.
 _SITE_RE = re.compile(r"[a-z0-9_-]+(\.[a-z0-9_-]+)*")
 
@@ -262,10 +249,9 @@ def maybe_fail(site: str, key: str = "") -> Optional[FaultRule]:
     """Ask the active plan whether ``site`` should fail for ``key``.
 
     Performs process-level kinds in place (``crash``/``hang``/
-    ``error``); returns the rule for caller-implemented kinds —
-    ``torn``/``corrupt`` for the durable writer, ``drop``/``delay``/
-    ``duplicate`` for the cluster transport — and None when nothing
-    fires.
+    ``error``); returns the rule for the caller-implemented kinds
+    (``torn``/``corrupt``, for the durable writer) and None when
+    nothing fires.
     """
     plan = active_plan()
     if plan is None:

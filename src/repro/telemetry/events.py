@@ -5,53 +5,35 @@ to its own ``events-<pid>.jsonl`` under the telemetry directory.  The
 merger reads every stream, drops lines that do not parse (a process
 that died mid-``write()`` can tear at most the trailing line of its
 file — same failure model the durable store's ``index.jsonl`` append
-path tolerates), and orders the survivors by ``(ts, host, pid, seq)``.
+path tolerates), and orders the survivors by ``(ts, pid, seq)``.
 ``pid`` and ``seq`` break wall-clock ties deterministically, so two
 merges of the same directory always agree line for line.
-
-Distributed campaigns add one level of nesting: each host agent
-redirects its telemetry into ``<dir>/<host>/`` (see
-:func:`repro.cluster.agent.agent_main`), so streams from different
-hosts can carry *colliding pids*.  The merger folds the subdirectory
-name into every nested record as its ``host`` field — part of the
-merge key and of Perfetto track routing — which keeps two pid-4711
-streams from two hosts distinct end to end.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from .core import EVENTS_GLOB
 
 
 def event_files(directory: Path) -> List[Path]:
-    """The stream files under ``directory``, including per-host
-    subdirectories, sorted (top-level streams first)."""
+    """The per-process stream files under ``directory``, sorted."""
     directory = Path(directory)
     if not directory.is_dir():
         return []
-    nested = [
-        path
-        for sub in sorted(p for p in directory.iterdir() if p.is_dir())
-        for path in sorted(sub.glob(EVENTS_GLOB))
-    ]
-    return sorted(directory.glob(EVENTS_GLOB)) + nested
+    return sorted(directory.glob(EVENTS_GLOB))
 
 
-def read_events(
-    path: Path, host: Optional[str] = None
-) -> Iterator[Dict[str, Any]]:
+def read_events(path: Path) -> Iterator[Dict[str, Any]]:
     """Yield parsable records from one stream, skipping torn lines.
 
     Any line that fails to parse as a JSON object is dropped rather
     than raised: the only way a well-behaved writer produces one is a
     crash mid-append, and losing that final partial record is exactly
-    the torn-write tolerance the format promises.  ``host`` (the
-    per-host subdirectory name) is folded into each record that does
-    not already carry one.
+    the torn-write tolerance the format promises.
     """
     try:
         with Path(path).open("r") as handle:
@@ -64,17 +46,14 @@ def read_events(
                 except ValueError:
                     continue
                 if isinstance(record, dict):
-                    if host and "host" not in record:
-                        record["host"] = host
                     yield record
     except OSError:
         return
 
 
-def _merge_key(record: Dict[str, Any]) -> Tuple[float, str, int, int]:
+def _merge_key(record: Dict[str, Any]) -> Tuple[float, int, int]:
     return (
         float(record.get("ts", 0.0)),
-        str(record.get("host", "")),
         int(record.get("pid", 0)),
         int(record.get("seq", 0)),
     )
@@ -82,11 +61,9 @@ def _merge_key(record: Dict[str, Any]) -> Tuple[float, str, int, int]:
 
 def merge_events(directory: Path) -> List[Dict[str, Any]]:
     """One deterministic run timeline from all streams in ``directory``."""
-    directory = Path(directory)
     merged: List[Dict[str, Any]] = []
     for path in event_files(directory):
-        host = path.parent.name if path.parent != directory else None
-        merged.extend(read_events(path, host=host))
+        merged.extend(read_events(path))
     merged.sort(key=_merge_key)
     return merged
 
@@ -96,13 +73,10 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     kinds: Dict[str, int] = {}
     span_totals: Dict[str, float] = {}
     pids = set()
-    hosts = set()
     for record in events:
         kind = str(record.get("kind", "?"))
         kinds[kind] = kinds.get(kind, 0) + 1
         pids.add(record.get("pid"))
-        if record.get("host"):
-            hosts.add(str(record["host"]))
         if kind == "span":
             name = str(record.get("name", "?"))
             span_totals[name] = (
@@ -113,7 +87,6 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "kinds": kinds,
         "span_seconds": {k: round(v, 6) for k, v in span_totals.items()},
         "processes": sorted(p for p in pids if p is not None),
-        "hosts": sorted(hosts),
     }
 
 

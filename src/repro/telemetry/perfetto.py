@@ -37,41 +37,13 @@ from .events import merge_events
 #: (pid_max), so the tracks never collide with a process track.
 _PROBE_PID_BASE = 9_000_000
 
-#: Synthetic pid base for per-host process tracks in distributed
-#: runs: two agents on two hosts can reuse the same OS pid, so every
-#: (host, pid) pair is remapped to its own synthetic pid below the
-#: probe range.
-_HOST_PID_BASE = 8_000_000
-
 _US = 1_000_000.0
-
-
-def _host_pid_map(events: List[Dict[str, Any]]) -> Dict[tuple, int]:
-    """Deterministic (host, pid) → synthetic pid routing table.
-
-    Covers tids too (a lease span can reference a worker pid that
-    never wrote its own stream); sorted first-by-host so the table —
-    and therefore the exported trace — is stable across merges.
-    """
-    pairs = set()
-    for record in events:
-        host = record.get("host")
-        if not host:
-            continue
-        pid = int(record.get("pid", 0))
-        pairs.add((str(host), pid))
-        pairs.add((str(host), int(record.get("tid", pid))))
-    return {
-        pair: _HOST_PID_BASE + index
-        for index, pair in enumerate(sorted(pairs))
-    }
 
 
 def to_trace_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Convert a merged timeline to Chrome trace-event dicts."""
     if not events:
         return []
-    host_pids = _host_pid_map(events)
     # Spans carry their wall-clock begin in "start" (the append "ts"
     # is the span *end*), so the rebase origin must consider both or
     # the earliest span would land at negative microseconds.
@@ -83,32 +55,24 @@ def to_trace_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     out: List[Dict[str, Any]] = []
     named: set = set()
     for record in events:
-        raw_pid = int(record.get("pid", 0))
-        host = str(record.get("host") or "")
-        pid = host_pids.get((host, raw_pid), raw_pid) if host else raw_pid
+        pid = int(record.get("pid", 0))
         kind = str(record.get("kind", "?"))
         ts = float(record.get("ts", base))
         if kind == "process.start":
             role = str(record.get("role", "process"))
-            label = (
-                f"{role}@{host}-{raw_pid}" if host else f"{role}-{raw_pid}"
-            )
             if pid not in named:
                 named.add(pid)
                 out.append({
                     "name": "process_name", "ph": "M", "pid": pid,
-                    "args": {"name": label},
+                    "args": {"name": f"{role}-{pid}"},
                 })
             continue
-        raw_tid = int(record.get("tid", raw_pid))
-        tid = host_pids.get((host, raw_tid), raw_tid) if host else raw_tid
+        tid = int(record.get("tid", pid))
         if kind == "span":
             start = float(record.get("start", ts))
             attrs = dict(record.get("attrs") or {})
-            attrs["pid"] = raw_pid
+            attrs["pid"] = pid
             attrs["seq"] = record.get("seq")
-            if host:
-                attrs["host"] = host
             out.append({
                 "name": str(record.get("name", "span")),
                 "ph": "X",

@@ -58,6 +58,19 @@ class TestCliCommands:
             main(["experiment", "fig99"])
 
 
+class TestCampaignRunLimits:
+    @pytest.mark.parametrize("limit", [
+        ["--job-timeout", "0"], ["--job-timeout", "-1"],
+        ["--max-retries", "-1"],
+    ], ids=["zero-timeout", "negative-timeout", "negative-retries"])
+    def test_invalid_run_limits_rejected(self, limit, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "run", "smoke", "--scale", "0.05",
+                  "--dry-run", *limit])
+        assert excinfo.value.code == 2
+        assert limit[0] in capsys.readouterr().err
+
+
 class TestCacheCommand:
     def test_gc_dead_generation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine.cache import result_to_dict
 from repro.engine.executor import execute_job
-from repro.engine.job import SimJob, WorkloadSpec
+from repro.engine.job import SimJob
 from repro.sim.backend import BACKEND_ENV, numpy_available
 
 GOLDEN_PATH = (
@@ -33,29 +33,6 @@ GOLDEN_PATH = (
 def _golden_records():
     with GOLDEN_PATH.open() as handle:
         return json.load(handle)
-
-
-def _job_from_canonical(data) -> SimJob:
-    workload = WorkloadSpec(
-        kind=data["workload"]["kind"],
-        params=tuple(
-            (key, value) for key, value in data["workload"]["params"]
-        ),
-    )
-    return SimJob(
-        workload=workload,
-        scheme=data["scheme"],
-        scheme_params=tuple((k, v) for k, v in data["scheme_params"]),
-        flip_th=data["flip_th"],
-        rfm_th=data["rfm_th"],
-        scale=data["scale"],
-        mlp=data["mlp"],
-        max_cycles=data["max_cycles"],
-        track_hammer=data["track_hammer"],
-        config_overrides=tuple(
-            (k, v) for k, v in data["config_overrides"]
-        ),
-    )
 
 
 def _canonical_json(payload) -> str:
@@ -82,7 +59,7 @@ def backend(request, monkeypatch):
 
 @pytest.mark.parametrize("record", RECORDS, ids=_ids())
 def test_result_matches_golden(record, backend):
-    job = _job_from_canonical(record["job"])
+    job = SimJob.from_canonical(record["job"])
     result = execute_job(job)
     assert _canonical_json(result_to_dict(result)) == _canonical_json(
         record["result"]

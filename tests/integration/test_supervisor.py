@@ -185,6 +185,14 @@ class TestQuarantine:
         with pytest.raises(ValueError):
             run_jobs([], on_failure="explode")
 
+    def test_invalid_run_limits_rejected(self):
+        """A non-positive lease or a negative retry budget would kill
+        every worker and quarantine every job; refuse it up front."""
+        for kwargs in ({"job_timeout": 0}, {"job_timeout": -1.0},
+                       {"max_retries": -1}):
+            with pytest.raises(ValueError):
+                run_jobs([], **kwargs)
+
 
 class TestDeterminism:
     def test_supervised_results_byte_identical_to_serial(self):

@@ -1,7 +1,10 @@
 """Unit tests for the declarative job model (SimJob / WorkloadSpec)."""
 
+import json
+
 import pytest
 
+from repro.campaigns import CampaignSpec, ExperimentSpec, plan_campaign
 from repro.engine import SimJob, WorkloadSpec, build_config, freeze_params
 
 
@@ -144,3 +147,41 @@ class TestBuildConfig:
     def test_unknown_field_raises(self):
         with pytest.raises(TypeError):
             build_config(freeze_params({"no_such_field": 1}))
+
+
+class TestCanonicalRoundtrip:
+    """Golden records store jobs as canonical JSON; rebuilding one
+    must give a job whose hash matches the original exactly — a
+    mismatch means the rebuilt job is a different simulation point."""
+
+    def test_plan_jobs_roundtrip_hash_equal(self):
+        plan = plan_campaign(CampaignSpec(
+            name="roundtrip",
+            experiments=[
+                ExperimentSpec(
+                    name="f11",
+                    kind="fig11",
+                    params=dict(
+                        scale=0.05, flip_thresholds=[6_250],
+                        schemes=["mithril"], attack_seeds=[31],
+                    ),
+                )
+            ],
+        ))
+        for job_hash, job in plan.jobs.items():
+            clone = SimJob.from_canonical(job.canonical())
+            assert clone == job
+            assert clone.job_hash() == job_hash
+
+    def test_roundtrip_survives_json_transport(self):
+        job = SimJob.make(
+            workload=WorkloadSpec.make("fft", seed=21, scale=0.25),
+            scheme="mithril",
+            scheme_params={"n_entries": 512, "rfm_th": 64},
+            flip_th=6_250, mlp=8, track_hammer=False,
+        )
+        wire = json.loads(json.dumps(job.canonical()))
+        clone = SimJob.from_canonical(wire)
+        assert clone.job_hash() == job.job_hash()
+        assert clone.scheme_params == job.scheme_params
+        assert clone.mlp == 8 and clone.track_hammer is False

@@ -70,6 +70,11 @@ class TestPlanParsing:
         {"faults": [{"site": "x", "kind": "melt"}]},  # unknown kind
         {"faults": [{"site": "x", "kind": "error",
                      "times": 0}]},                  # bad budget
+        # kinds no site implements: a plan naming one must fail
+        # loudly, not load and never fire
+        {"faults": [{"site": "x", "kind": "drop"}]},
+        {"faults": [{"site": "x", "kind": "delay"}]},
+        {"faults": [{"site": "x", "kind": "duplicate"}]},
     ])
     def test_malformed_plans_raise(self, doc):
         with pytest.raises(FaultPlanError):
@@ -84,21 +89,12 @@ class TestPlanParsing:
             FaultPlan({"faults": [{"site": site, "kind": "error"}]})
 
     @pytest.mark.parametrize("site", [
-        "x", "worker.execute", "transport.send", "host.heartbeat",
+        "x", "worker.execute", "manifest.write", "index.append",
         "cache.entry.write", "a-b.c_d.e0",
     ])
     def test_wellformed_site_names_parse(self, site):
         plan = FaultPlan({"faults": [{"site": site, "kind": "error"}]})
         assert plan.rules[0].site == site
-
-    def test_transport_kinds_parse(self):
-        plan = FaultPlan({"faults": [
-            {"site": "transport.send", "kind": kind}
-            for kind in ("drop", "delay", "duplicate", "torn")
-        ]})
-        assert [r.kind for r in plan.rules] == [
-            "drop", "delay", "duplicate", "torn",
-        ]
 
     def test_malformed_env_plan_raises_loudly(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, "{not json")
@@ -211,21 +207,4 @@ class TestMaybeFail:
         _activate(monkeypatch, [
             {"site": "s", "kind": "hang", "seconds": 0.01},
         ])
-        assert maybe_fail("s") is None
-
-    def test_transport_kinds_are_returned_not_performed(
-        self, monkeypatch
-    ):
-        """drop/delay/duplicate are message-level weather: the
-        transport implements them, so maybe_fail just hands the rule
-        back like torn/corrupt."""
-        _activate(monkeypatch, [
-            {"site": "s", "kind": "drop", "times": 1},
-            {"site": "s", "kind": "delay", "seconds": 0.5, "times": 1},
-            {"site": "s", "kind": "duplicate", "times": 1},
-        ])
-        assert maybe_fail("s").kind == "drop"
-        rule = maybe_fail("s")
-        assert rule.kind == "delay" and rule.seconds == 0.5
-        assert maybe_fail("s").kind == "duplicate"
         assert maybe_fail("s") is None

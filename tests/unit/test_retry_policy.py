@@ -1,10 +1,10 @@
 """Property tests: RetryPolicy backoff is a pure function of
 (job hash, retry index).
 
-The distributed fabric reassigns failed jobs to *different* hosts and
-respawns crashed supervisors; if the jittered backoff schedule
-depended on which process (or which call order) computes it, retry
-timing would be irreproducible across those moves.  Determinism here
+A killed campaign resumes under a fresh supervisor, and a crashed
+worker's job retries in a different worker process; if the jittered
+backoff schedule depended on which process (or which call order)
+computes it, retry timing would be irreproducible across those moves.  Determinism here
 is what lets a fault-plan replay produce the same timeline twice.
 """
 
@@ -22,8 +22,8 @@ def _hashes(n):
 
 class TestDeterminism:
     def test_same_hash_same_schedule_across_fresh_instances(self):
-        # A respawned supervisor (or a different host retrying the
-        # reassigned job) constructs its own policy object.
+        # A respawned supervisor (a resumed campaign) constructs its
+        # own policy object.
         for job_hash in _hashes(50):
             schedule_a = [RetryPolicy().delay(job_hash, r)
                           for r in range(1, 6)]
