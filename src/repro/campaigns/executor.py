@@ -62,6 +62,7 @@ from repro.campaigns.spec import CampaignSpec, campaign_dir
 from repro.engine.cache import ResultCache, code_version
 from repro.engine.durable import atomic_write_json, quarantine_file
 from repro.engine.executor import DEFAULT_MAX_RETRIES, run_jobs
+from repro.engine.supervisor import RetryPolicy, SupervisedPool
 
 MANIFEST_NAME = "manifest.json"
 
@@ -400,6 +401,16 @@ class _DrainGuard:
         self._signal_name = signal.Signals(signum).name
 
 
+def _by_workload(job_hashes: List[str], jobs) -> List[str]:
+    """``job_hashes`` grouped by workload, groups in first-seen order,
+    so a batch's points share few workloads and a worker's workload
+    memo keeps hitting."""
+    groups: Dict[Any, List[str]] = {}
+    for job_hash in job_hashes:
+        groups.setdefault(jobs[job_hash].workload, []).append(job_hash)
+    return [job_hash for group in groups.values() for job_hash in group]
+
+
 def run_campaign(
     spec: CampaignSpec,
     directory=None,
@@ -426,6 +437,11 @@ def run_campaign(
     manifest (with diagnostics) rather than aborting the campaign, and
     stay skipped on resume until ``retry_quarantined=True`` clears
     them for another try.
+
+    Points run grouped by workload.  When the run is supervised
+    (``n_jobs > 1`` or a ``job_timeout``), one :class:`SupervisedPool`
+    serves every batch, so workers live for the campaign and build
+    each workload once; batches and checkpoints are as before.
     """
     from repro import telemetry
 
@@ -457,11 +473,18 @@ def run_campaign(
 
     completed = set(manifest.completed)
     skip = completed | set(manifest.quarantined)
-    pending = [h for h in plan.jobs if h not in skip]
+    pending = _by_workload([h for h in plan.jobs if h not in skip],
+                           plan.jobs)
     stats.previously_complete = len(completed & set(plan.jobs))
 
     batch_size = max(1, int(batch_size))
     audit_rounds = 0
+    pool = None
+    if n_jobs > 1 or job_timeout is not None:
+        pool = SupervisedPool(
+            n_jobs, job_timeout=job_timeout,
+            policy=RetryPolicy(max_retries=max_retries),
+        )
     try:
         with _DrainGuard() as drain:
             while True:
@@ -483,6 +506,7 @@ def run_campaign(
                             max_retries=max_retries,
                             job_timeout=job_timeout,
                             on_failure="skip",
+                            pool=pool,
                         )
                     batch_stats = run_jobs.last_stats
                     failed = {f.job_hash for f in batch_stats.failures}
@@ -572,8 +596,10 @@ def run_campaign(
                         f"rounds with {len(bad)} bad entr(ies)"
                     )
                     break
-                pending = bad
+                pending = _by_workload(bad, plan.jobs)
     finally:
+        if pool is not None:
+            pool.close()
         manifest.record_run(stats)
         manifest.refresh_status()
         manifest.save()

@@ -1120,7 +1120,8 @@ def main(argv=None) -> int:
     )
     _campaign_common(c_run, with_scale=True)
     c_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes per batch")
+                       help="worker processes, kept for the whole "
+                            "campaign")
     c_run.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache (resume still "
                             "skips manifest-completed points)")

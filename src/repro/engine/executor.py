@@ -14,7 +14,13 @@ process to enforce).
 
 Worker processes receive only the pickled :class:`SimJob`; traces are
 rebuilt from their seeded generators inside the child, so parallel
-runs are byte-identical to serial ones.
+runs are byte-identical to serial ones.  :func:`execute_job` keeps a
+per-process memo of the last ``WORKLOAD_MEMO_SIZE`` workloads it
+built, so consecutive jobs on one workload build its traces once —
+safe because ``simulate()`` never mutates its input traces.  A caller that owns a long-lived
+:class:`SupervisedPool` (the campaign executor opens one per campaign)
+passes it as ``pool=``; its workers, and their memos, then outlive the
+call.
 
 Every call publishes a :class:`RunStats` on ``run_jobs.last_stats``
 (``simulated == 0`` on a fully warm cache is the invariant the
@@ -32,12 +38,13 @@ from __future__ import annotations
 import time
 import traceback
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.cache import ResultCache
 from repro.engine.catalog import build_config, build_workload, scheme_factory_for
-from repro.engine.job import SimJob
+from repro.engine.job import SimJob, WorkloadSpec
 from repro.engine.supervisor import (
     JobFailure,
     RetryPolicy,
@@ -47,6 +54,12 @@ from repro.sim.metrics import SimulationResult
 
 #: Default retry budget for failed/crashed/timed-out jobs.
 DEFAULT_MAX_RETRIES = 2
+
+#: Built workloads :func:`execute_job` keeps per process (most recent
+#: last).  Two let a worker help out on another workload and come back
+#: to its own without a rebuild.
+WORKLOAD_MEMO_SIZE = 2
+_workload_memo: "OrderedDict[WorkloadSpec, list]" = OrderedDict()
 
 
 class JobExecutionError(RuntimeError):
@@ -87,25 +100,41 @@ class RunStats:
     timing_breakdown: Dict[str, float] = field(default_factory=dict)
 
 
-def materialize_job(job: SimJob):
+def materialize_job(job: SimJob, memo: bool = False):
     """(traces, scheme factory, config, rfm_th) for one job.
 
     The single build path shared by the executor, the speed bench
     (:mod:`repro.speed`) and ``repro profile`` — callers that time or
     profile ``simulate()`` separately from workload construction must
-    still build exactly what :func:`run_jobs` executes.
+    still build exactly what :func:`run_jobs` executes.  They get
+    freshly built traces; ``memo=True`` (the executor) takes them from
+    the per-process workload memo instead.
     """
-    traces = build_workload(job.workload)
+    build = _memo_workload if memo else build_workload
+    traces = build(job.workload)
     factory, rfm_th = scheme_factory_for(job)
     config = build_config(job.config_overrides)
     return traces, factory, config, rfm_th
+
+
+def _memo_workload(spec: WorkloadSpec) -> list:
+    """The traces of ``spec``, built at most once while memoized."""
+    traces = _workload_memo.get(spec)
+    if traces is None:
+        traces = build_workload(spec)
+        _workload_memo[spec] = traces
+        while len(_workload_memo) > WORKLOAD_MEMO_SIZE:
+            _workload_memo.popitem(last=False)
+    else:
+        _workload_memo.move_to_end(spec)
+    return traces
 
 
 def execute_job(job: SimJob) -> SimulationResult:
     """Materialize and run one job (also the worker-process entry)."""
     from repro.sim.system import simulate
 
-    traces, factory, config, rfm_th = materialize_job(job)
+    traces, factory, config, rfm_th = materialize_job(job, memo=True)
     return simulate(
         traces,
         scheme_factory=factory,
@@ -205,6 +234,7 @@ def run_jobs(
     job_timeout: Optional[float] = None,
     on_failure: str = "raise",
     retry_policy: Optional[RetryPolicy] = None,
+    pool: Optional[SupervisedPool] = None,
 ) -> List[Optional[SimulationResult]]:
     """Run a batch of jobs; results align with the input order.
 
@@ -224,6 +254,9 @@ def run_jobs(
     the records.
     ``retry_policy`` — full :class:`RetryPolicy` override (backoff
     shape); wins over ``max_retries``.
+    ``pool`` — an open :class:`SupervisedPool` to execute on, kept
+    open afterwards; its own worker count, timeout and retry policy
+    apply.  Without one, a supervised call forks a pool for itself.
     """
     if on_failure not in ("raise", "skip"):
         raise ValueError(
@@ -277,7 +310,9 @@ def run_jobs(
     ]
     if missing:
         workers = min(n_jobs, len(missing))
-        supervised = workers > 1 or job_timeout is not None
+        supervised = (
+            pool is not None or workers > 1 or job_timeout is not None
+        )
         executed: Dict[str, SimulationResult] = {}
         t0 = time.perf_counter()
         span = (
@@ -289,11 +324,14 @@ def run_jobs(
         )
         with span:
             if supervised:
-                pool = SupervisedPool(
-                    workers, job_timeout=job_timeout, policy=policy
-                )
                 try:
-                    outcome = pool.run(missing)
+                    if pool is not None:
+                        outcome = pool.run(missing)
+                    else:
+                        with SupervisedPool(
+                            workers, job_timeout=job_timeout, policy=policy
+                        ) as own:
+                            outcome = own.run(missing)
                 except OSError as error:
                     warnings.warn(
                         f"worker pool unavailable ({error}); "

@@ -10,7 +10,12 @@ death as an expected event:
 
 * **pull model** — each worker owns a dedicated task queue and is
   handed one job at a time, so the supervisor always knows which job a
-  worker holds (the *lease*) and since when;
+  worker holds (the *lease*) and since when; results come back tagged
+  with their lease, and a result for a lease already given up on is
+  dropped;
+* **long-lived, workload-affine workers** — one pool serves any number
+  of :meth:`SupervisedPool.run` batches (a whole campaign), and an idle
+  worker prefers jobs on the workload it last built;
 * **timeouts** — a lease older than ``job_timeout`` gets its worker
   killed (``SIGKILL``) and replaced; the job counts a failed attempt;
 * **retry with backoff** — failed attempts (exception, crash,
@@ -29,9 +34,9 @@ is how the tests provoke every path above deterministically.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import multiprocessing
+import os
 import queue as queue_mod
 import time
 import traceback
@@ -112,11 +117,18 @@ class JobFailure:
 
 
 def _worker_main(task_queue, result_queue) -> None:
-    """Worker loop: one job per lease, structured error capture."""
+    """Worker loop: one job per lease, structured error capture.
+
+    Every result message carries its lease — ``(tag, pid, attempt,
+    job_hash, payload, traceback)`` — so the supervisor can tell a
+    live lease's answer from a late one sent by a worker it already
+    gave up on.
+    """
     from repro import faults, telemetry
     from repro.engine.executor import execute_job
 
     faults.IN_WORKER = True
+    pid = os.getpid()
     # telemetry.get() re-checks the pid, so the forked child opens its
     # own events-<pid>.jsonl instead of appending to the parent's.
     tel = telemetry.get()
@@ -126,7 +138,7 @@ def _worker_main(task_queue, result_queue) -> None:
         item = task_queue.get()
         if item is None:
             return
-        job_hash, job = item
+        job_hash, attempt, job = item
         try:
             faults.maybe_fail("worker.execute", job_hash)
             span = (
@@ -142,20 +154,21 @@ def _worker_main(task_queue, result_queue) -> None:
                     message=f"{type(error).__name__}: {error}",
                 )
             result_queue.put((
-                "err", job_hash,
+                "err", pid, attempt, job_hash,
                 f"{type(error).__name__}: {error}",
                 traceback.format_exc(),
             ))
         else:
             if tel is not None:
                 tel.event("job.ok", job=job_hash)
-            result_queue.put(("ok", job_hash, result, None))
+            result_queue.put(("ok", pid, attempt, job_hash, result, None))
 
 
 class _Worker:
     """One supervised worker process and its lease state."""
 
-    __slots__ = ("proc", "task_queue", "current", "deadline", "lease_wall")
+    __slots__ = ("proc", "task_queue", "current", "attempt", "workload",
+                 "deadline", "lease_wall")
 
     def __init__(self, ctx, result_queue):
         self.task_queue = ctx.SimpleQueue()
@@ -166,17 +179,31 @@ class _Worker:
         )
         self.proc.start()
         self.current: Optional[str] = None
+        self.attempt = 0
+        #: Workload of the last job leased here: the one the worker's
+        #: workload memo is sure to hold.
+        self.workload = None
         self.deadline: Optional[float] = None
         self.lease_wall: Optional[float] = None
 
-    def assign(self, job_hash: str, job: SimJob,
+    def assign(self, job_hash: str, attempt: int, job: SimJob,
                timeout: Optional[float]) -> None:
-        self.task_queue.put((job_hash, job))
+        self.task_queue.put((job_hash, attempt, job))
         self.current = job_hash
+        self.attempt = attempt
+        self.workload = job.workload
         self.deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
         self.lease_wall = time.time()
+
+    def holds(self, pid: int, attempt: int, job_hash: str) -> bool:
+        """Is (pid, attempt, job_hash) this worker's live lease?"""
+        return (
+            self.current == job_hash
+            and self.attempt == attempt
+            and self.proc.pid == pid
+        )
 
     def release(self) -> None:
         self.current = None
@@ -215,12 +242,23 @@ class PoolOutcome:
 
 
 class SupervisedPool:
-    """Run a batch of unique jobs under supervision.
+    """Run batches of unique jobs under supervision.
 
-    One-shot: construct, :meth:`run`, done (workers are recycled
-    between batches by construction — a campaign batch is the unit of
-    checkpointing anyway).  ``n_workers`` processes execute jobs;
-    ``job_timeout`` (seconds, None = unbounded) bounds each lease.
+    A pool is opened once and :meth:`run` as often as the caller has
+    batches; the campaign executor keeps one for the whole campaign,
+    so workers — and the workload memo each keeps
+    (:func:`repro.engine.executor.execute_job`) — outlive a checkpoint
+    batch.  Workers are forked on demand, up to ``n_workers``, by the
+    first :meth:`run` that has jobs for them; :meth:`close` (or leaving
+    a ``with`` block) stops them.  ``job_timeout`` (seconds, None =
+    unbounded) bounds each lease.
+
+    Scheduling is workload-affine: an idle worker takes an eligible
+    job on the workload it last ran, else one on a workload no other
+    worker holds, else the earliest eligible job.  Result messages
+    that do not match a live lease (pid, attempt and job) are dropped,
+    and an idle worker found dead at the start of a run is replaced
+    without charging any job an attempt.
     """
 
     def __init__(
@@ -233,8 +271,62 @@ class SupervisedPool:
         self.job_timeout = job_timeout
         self.policy = policy or RetryPolicy()
         self.ctx = multiprocessing.get_context()
+        self._workers: List[_Worker] = []
+        self._result_queue = None
+
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop every worker; a later :meth:`run` forks new ones."""
+        for worker in self._workers:
+            worker.close()
+        self._workers = []
+        if self._result_queue is not None:
+            try:
+                self._result_queue.close()
+                self._result_queue.join_thread()
+            except (OSError, AttributeError):
+                pass
+            self._result_queue = None
+
+    def _spawn(self, tel, replaces: Optional[int] = None) -> _Worker:
+        worker = _Worker(self.ctx, self._result_queue)
+        if tel is not None:
+            extra = {} if replaces is None else {"replaces": replaces}
+            tel.event("worker.spawn", worker=worker.proc.pid, **extra)
+        return worker
+
+    def _pick(self, worker: _Worker, ready, now: float, jobs):
+        """The ready entry ``worker`` leases next (None: none eligible)."""
+        held = {w.workload for w in self._workers if w is not worker}
+        best, best_key = None, None
+        for entry in ready:
+            if entry[0] > now:
+                continue
+            spec = jobs[entry[2]].workload
+            rank = 0 if spec == worker.workload else (
+                1 if spec not in held else 2
+            )
+            key = (rank, entry[0], entry[1])
+            if best_key is None or key < best_key:
+                best, best_key = entry, key
+        return best
 
     def run(self, items: List[Tuple[str, SimJob]]) -> PoolOutcome:
+        """Run ``items`` (``(job_hash, job)`` pairs) to completion or
+        quarantine.  An exception (including ``KeyboardInterrupt``)
+        closes the pool before it propagates."""
+        try:
+            return self._run(items)
+        except BaseException:
+            self.close()
+            raise
+
+    def _run(self, items: List[Tuple[str, SimJob]]) -> PoolOutcome:
         from repro import telemetry
 
         jobs = dict(items)
@@ -244,30 +336,33 @@ class SupervisedPool:
         tel = telemetry.get()
         if tel is not None:
             tel.set_role("supervisor")
-        result_queue = self.ctx.Queue()
-        workers = [
-            _Worker(self.ctx, result_queue)
-            for _ in range(min(self.n_workers, len(jobs)))
-        ]
+        if self._result_queue is None:
+            self._result_queue = self.ctx.Queue()
+        result_queue = self._result_queue
+        workers = self._workers
+        for index, worker in enumerate(workers):
+            if not worker.proc.is_alive():
+                log.warning(
+                    "idle worker %s died between runs (exit %s); "
+                    "replacing it", worker.proc.pid, worker.proc.exitcode,
+                )
+                worker.close(kill=True)
+                workers[index] = self._spawn(tel, replaces=worker.proc.pid)
+        while len(workers) < min(self.n_workers, len(jobs)):
+            workers.append(self._spawn(tel))
         log.info(
             "pool: %d worker(s) over %d job(s), timeout=%s",
             len(workers), len(jobs), self.job_timeout,
         )
-        if tel is not None:
-            for worker in workers:
-                tel.event("worker.spawn", worker=worker.proc.pid)
         attempts: Dict[str, int] = {h: 0 for h in jobs}
         events: Dict[str, List[Dict[str, Any]]] = {h: [] for h in jobs}
         start_mono = time.monotonic()
-        # Monotonic instant each job (re-)became eligible, for the
-        # queue-wait accounting (eligible-but-unassigned time).
-        queued_at: Dict[str, float] = {h: start_mono for h in jobs}
-        # (eligible_time, seq, hash) — seq keeps heap order stable.
+        # (eligible since, seq, hash): every job neither leased nor
+        # finished; seq keeps ties in submission order.
         ready: List[Tuple[float, int, str]] = [
-            (0.0, seq, job_hash)
+            (start_mono, seq, job_hash)
             for seq, (job_hash, _job) in enumerate(items)
         ]
-        heapq.heapify(ready)
         seq_counter = len(ready)
         remaining = set(jobs)
         last_heartbeat = start_mono
@@ -288,8 +383,6 @@ class SupervisedPool:
         def attempt_failed(job_hash: str, reason: str, message: str,
                            trace: Optional[str] = None) -> None:
             nonlocal seq_counter
-            if job_hash in outcome.results or job_hash not in remaining:
-                return
             events[job_hash].append({
                 "attempt": attempts[job_hash],
                 "reason": reason,
@@ -338,151 +431,128 @@ class SupervisedPool:
                         job=job_hash, attempt=attempts[job_hash],
                         reason=reason,
                     )
-            eligible = time.monotonic() + delay
-            queued_at[job_hash] = eligible
             seq_counter += 1
-            heapq.heappush(ready, (eligible, seq_counter, job_hash))
+            ready.append((time.monotonic() + delay, seq_counter, job_hash))
 
-        try:
-            while remaining:
-                now = time.monotonic()
-                # -- hand eligible jobs to idle workers ----------------
-                for worker in workers:
-                    if worker.current is not None:
-                        continue
-                    while ready and ready[0][0] <= now:
-                        _, _, job_hash = heapq.heappop(ready)
-                        if (
-                            job_hash in remaining
-                            and job_hash not in outcome.results
-                            and not any(
-                                w.current == job_hash for w in workers
-                            )
-                        ):
-                            attempts[job_hash] += 1
-                            outcome.queue_wait_s += max(
-                                0.0, now - queued_at.get(job_hash, now)
-                            )
-                            worker.assign(
-                                job_hash, jobs[job_hash], self.job_timeout
-                            )
-                            if tel is not None:
-                                tel.event(
-                                    "lease.assign", job=job_hash,
-                                    tid=worker.proc.pid,
-                                    attempt=attempts[job_hash],
-                                )
-                            break
-                    if worker.current is None and not ready:
-                        break
-                # -- wait for a result (bounded poll) ------------------
-                wait = _POLL_S
-                deadlines = [
-                    w.deadline for w in workers if w.deadline is not None
-                ]
-                if deadlines:
-                    wait = min(wait, max(0.01, min(deadlines) - now))
-                if ready:
-                    wait = min(wait, max(0.01, ready[0][0] - now))
-                try:
-                    tag, job_hash, payload, trace = result_queue.get(
-                        timeout=wait
+        def replace(index: int, worker: "_Worker", result: str) -> None:
+            """Kill a worker whose lease failed and fork its successor."""
+            lease_closed(worker, result)
+            worker.release()
+            worker.close(kill=True)
+            workers[index] = self._spawn(tel, replaces=worker.proc.pid)
+
+        while remaining:
+            now = time.monotonic()
+            # -- hand eligible jobs to idle workers --------------------
+            for worker in workers:
+                if worker.current is not None:
+                    continue
+                entry = self._pick(worker, ready, now, jobs)
+                if entry is None:
+                    break
+                ready.remove(entry)
+                eligible_since, _, job_hash = entry
+                attempts[job_hash] += 1
+                outcome.queue_wait_s += max(0.0, now - eligible_since)
+                worker.assign(
+                    job_hash, attempts[job_hash], jobs[job_hash],
+                    self.job_timeout,
+                )
+                if tel is not None:
+                    tel.event(
+                        "lease.assign", job=job_hash,
+                        tid=worker.proc.pid, attempt=attempts[job_hash],
                     )
-                except queue_mod.Empty:
-                    tag = None
-                if tag is not None:
-                    for worker in workers:
-                        if worker.current == job_hash:
-                            lease_closed(worker, tag)
-                            worker.release()
-                            break
+            # -- wait for a result (bounded poll) ----------------------
+            wait = _POLL_S
+            deadlines = [
+                w.deadline for w in workers if w.deadline is not None
+            ]
+            if deadlines:
+                wait = min(wait, max(0.01, min(deadlines) - now))
+            if ready and any(w.current is None for w in workers):
+                # only backoff-delayed jobs can be waiting here
+                wait = min(wait, max(0.01, min(ready)[0] - now))
+            try:
+                tag, pid, attempt, job_hash, payload, trace = (
+                    result_queue.get(timeout=wait)
+                )
+            except queue_mod.Empty:
+                tag = None
+            if tag is not None:
+                owner = next(
+                    (w for w in workers if w.holds(pid, attempt, job_hash)),
+                    None,
+                )
+                if owner is None:
+                    log.info(
+                        "dropping stale %r result for %s (worker %s, "
+                        "attempt %s)", tag, job_hash[:12], pid, attempt,
+                    )
+                    if tel is not None:
+                        tel.event(
+                            "result.stale", job=job_hash, tid=pid,
+                            attempt=attempt,
+                        )
+                else:
+                    lease_closed(owner, tag)
+                    owner.release()
                     if tag == "ok":
-                        if job_hash in remaining:
-                            outcome.results[job_hash] = payload
-                            remaining.discard(job_hash)
-                            outcome.failures.pop(job_hash, None)
+                        outcome.results[job_hash] = payload
+                        remaining.discard(job_hash)
                     else:
                         attempt_failed(
                             job_hash, "exception", payload, trace
                         )
-                # -- heartbeat (telemetry only) ------------------------
-                now = time.monotonic()
-                if tel is not None and now - last_heartbeat >= _HEARTBEAT_S:
-                    last_heartbeat = now
-                    tel.event(
-                        "heartbeat",
-                        remaining=len(remaining),
-                        inflight=sum(
-                            1 for w in workers if w.current is not None
-                        ),
-                        queued=len(ready),
+            # -- heartbeat (telemetry only) ----------------------------
+            now = time.monotonic()
+            if tel is not None and now - last_heartbeat >= _HEARTBEAT_S:
+                last_heartbeat = now
+                tel.event(
+                    "heartbeat",
+                    remaining=len(remaining),
+                    inflight=sum(
+                        1 for w in workers if w.current is not None
+                    ),
+                    queued=len(ready),
+                )
+            # -- reap dead and expired workers -------------------------
+            for index, worker in enumerate(workers):
+                if worker.current is None:
+                    continue
+                job_hash = worker.current
+                if not worker.proc.is_alive():
+                    exit_code = worker.proc.exitcode
+                    log.warning(
+                        "worker %s died mid-job (exit %s), job %s",
+                        worker.proc.pid, exit_code, job_hash[:12],
                     )
-                # -- reap dead and expired workers ---------------------
-                for index, worker in enumerate(workers):
-                    if worker.current is None:
-                        continue
-                    if not worker.proc.is_alive():
-                        job_hash = worker.current
-                        log.warning(
-                            "worker %s died mid-job (exit %s), job %s",
-                            worker.proc.pid, worker.proc.exitcode,
-                            job_hash[:12],
+                    if tel is not None:
+                        tel.event(
+                            "worker.crash", tid=worker.proc.pid,
+                            job=job_hash, exit_code=exit_code,
                         )
-                        lease_closed(worker, "crash")
-                        worker.release()
-                        worker.close(kill=True)
-                        workers[index] = _Worker(self.ctx, result_queue)
-                        if tel is not None:
-                            tel.event(
-                                "worker.crash", tid=worker.proc.pid,
-                                job=job_hash,
-                                exit_code=worker.proc.exitcode,
-                            )
-                            tel.event(
-                                "worker.spawn",
-                                worker=workers[index].proc.pid,
-                                replaces=worker.proc.pid,
-                            )
-                        attempt_failed(
-                            job_hash, "worker-crash",
-                            "worker process died mid-job "
-                            f"(exit code {worker.proc.exitcode})",
+                    replace(index, worker, "crash")
+                    attempt_failed(
+                        job_hash, "worker-crash",
+                        "worker process died mid-job "
+                        f"(exit code {exit_code})",
+                    )
+                elif worker.deadline is not None and now >= worker.deadline:
+                    log.warning(
+                        "lease expired after %ss: killing worker %s "
+                        "(job %s)", self.job_timeout,
+                        worker.proc.pid, job_hash[:12],
+                    )
+                    if tel is not None:
+                        tel.event(
+                            "timeout.kill", tid=worker.proc.pid,
+                            job=job_hash, timeout=self.job_timeout,
                         )
-                    elif (
-                        worker.deadline is not None
-                        and now >= worker.deadline
-                    ):
-                        job_hash = worker.current
-                        log.warning(
-                            "lease expired after %ss: killing worker %s "
-                            "(job %s)", self.job_timeout,
-                            worker.proc.pid, job_hash[:12],
-                        )
-                        lease_closed(worker, "timeout")
-                        worker.release()
-                        worker.close(kill=True)
-                        workers[index] = _Worker(self.ctx, result_queue)
-                        if tel is not None:
-                            tel.event(
-                                "timeout.kill", tid=worker.proc.pid,
-                                job=job_hash, timeout=self.job_timeout,
-                            )
-                            tel.event(
-                                "worker.spawn",
-                                worker=workers[index].proc.pid,
-                                replaces=worker.proc.pid,
-                            )
-                        attempt_failed(
-                            job_hash, "timeout",
-                            f"lease exceeded {self.job_timeout}s; "
-                            "worker killed",
-                        )
-        finally:
-            for worker in workers:
-                worker.close()
-            try:
-                result_queue.close()
-                result_queue.join_thread()
-            except (OSError, AttributeError):
-                pass
+                    replace(index, worker, "timeout")
+                    attempt_failed(
+                        job_hash, "timeout",
+                        f"lease exceeded {self.job_timeout}s; "
+                        "worker killed",
+                    )
         return outcome

@@ -370,6 +370,68 @@ class TestCampaignRunAndReport:
         assert len(records) == plan_campaign(spec).total_points
 
 
+class TestCampaignLongPool:
+    """Workload-grouped batches on one campaign-long supervised pool
+    store exactly what the serial executor stores."""
+
+    def test_smoke_two_workers_match_serial(self, tmp_path, monkeypatch):
+        from repro.engine import ResultCache, result_to_dict
+
+        spec = get_campaign("smoke")
+
+        def run(n_jobs):
+            base = tmp_path / f"jobs-{n_jobs}"
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(base / "store"))
+            result = run_campaign(
+                spec, directory=base / "campaigns", scale=TINY,
+                n_jobs=n_jobs,
+            )
+            assert result.complete
+            assert result.stats.simulated == result.plan.total_points
+            cache = ResultCache(base / "store")
+            stored = {
+                job_hash: json.dumps(
+                    result_to_dict(cache.get(job)), sort_keys=True
+                )
+                for job_hash, job in result.plan.jobs.items()
+            }
+            report = build_report(spec, directory=base / "campaigns")
+            report.pop("runs", None)
+            return stored, json.dumps(report, sort_keys=True)
+
+        serial_store, serial_report = run(1)
+        pooled_store, pooled_report = run(2)
+        assert pooled_store == serial_store
+        assert pooled_report == serial_report
+
+    def test_pending_points_run_grouped_by_workload(self, monkeypatch):
+        spec = get_campaign("smoke")
+        plan = plan_campaign(spec, scale=TINY)
+        submitted = []
+
+        def recording_run_jobs(jobs, **kwargs):
+            submitted.extend(jobs)
+            results = run_jobs(jobs, **kwargs)
+            recording_run_jobs.last_stats = run_jobs.last_stats
+            return results
+
+        monkeypatch.setattr(
+            campaign_executor, "run_jobs", recording_run_jobs
+        )
+        run_campaign(spec, scale=TINY, batch_size=4)
+        workloads = [job.workload for job in submitted]
+        assert sorted(job.job_hash() for job in submitted) == sorted(
+            plan.jobs
+        )
+        first_seen = list(dict.fromkeys(
+            job.workload for job in plan.jobs.values()
+        ))
+        # one contiguous run per workload, in first-seen order
+        assert list(dict.fromkeys(workloads)) == first_seen
+        changes = sum(1 for a, b in zip(workloads, workloads[1:]) if a != b)
+        assert changes == len(first_seen) - 1
+
+
 class TestExtraWorkloadsPanels:
     """The satellite: stress families as figure-driver extra panels."""
 

@@ -7,6 +7,7 @@ warm path never calls ``simulate()``.
 """
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -132,6 +133,74 @@ class TestExecutor:
         run_jobs(jobs, cache_dir=tmp_path)
         run_jobs(jobs, use_cache=False, cache_dir=tmp_path)
         assert run_jobs.last_stats.simulated == 1
+
+
+class TestWorkloadMemo:
+    """``execute_job`` builds a workload once per process while it is
+    memoized; the paths that time or profile ``simulate()`` still get
+    freshly built traces."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.engine.executor as executor
+
+        calls = []
+
+        def counting_build(spec):
+            calls.append(spec)
+            return build_workload(spec)
+
+        monkeypatch.setattr(executor, "build_workload", counting_build)
+        monkeypatch.setattr(executor, "_workload_memo", OrderedDict())
+        return calls
+
+    def test_jobs_sharing_a_spec_build_once(self, builds):
+        jobs = _tiny_jobs()
+        fft_jobs = [jobs[0], jobs[2]]
+        assert fft_jobs[0].workload == fft_jobs[1].workload
+        results = [execute_job(job) for job in fft_jobs]
+        assert builds == [fft_jobs[0].workload]
+        assert results[0] == run_jobs(fft_jobs[:1], use_cache=False)[0]
+
+    def test_third_spec_evicts_the_oldest(self, builds):
+        import repro.engine.executor as executor
+
+        specs = [
+            WorkloadSpec.make("fft", scale=TINY, num_cores=2, seed=seed)
+            for seed in (21, 22, 23)
+        ]
+        for spec in specs:
+            execute_job(SimJob(workload=spec, max_cycles=2_000))
+        assert executor.WORKLOAD_MEMO_SIZE == 2
+        assert list(executor._workload_memo) == specs[1:]
+        execute_job(SimJob(workload=specs[0], max_cycles=2_000))
+        assert builds == specs + specs[:1]
+        execute_job(SimJob(workload=specs[2], max_cycles=2_000))
+        assert len(builds) == 4
+
+    def test_materialize_job_builds_fresh_traces(self, builds):
+        from repro.engine.executor import materialize_job
+
+        job = _tiny_jobs()[0]
+        execute_job(job)
+        first, *_ = materialize_job(job)
+        second, *_ = materialize_job(job)
+        assert len(builds) == 3
+        assert first is not second
+        assert [t.entries for t in first] == [t.entries for t in second]
+
+    def test_speed_bench_and_profile_build_every_job(self, builds, capsys):
+        from repro import cli, speed
+
+        speed.run_preset("tiny")
+        assert len(builds) == len(speed._bench_jobs("tiny"))
+        assert len(set(builds)) < len(builds)  # a repeated workload
+        del builds[:]
+        args = ["profile", "--workload", "fft", "--scale", str(TINY),
+                "--scheme", "none", "--top", "1"]
+        cli.main(args)
+        cli.main(args)
+        assert len(builds) == 2
 
 
 class TestDriverDeterminism:

@@ -198,13 +198,18 @@ class TestArrSchemesInSimulation:
 class TestInputTracesUnchanged:
     """``simulate()`` leaves its input traces exactly as it found them
     — same entry objects, same length, same order — on every backend,
-    including turbo's streamed decode and recycled request pool."""
+    including turbo's streamed decode and recycled request pool, for
+    every catalog scheme.  The executor's workload memo hands one
+    build to many jobs on the strength of this."""
 
     @pytest.mark.parametrize(
         "backend, chunk",
         [("scalar", None), ("turbo", None), ("turbo", "64")],
     )
-    @pytest.mark.parametrize("scheme", ["mithril", "blockhammer"])
+    @pytest.mark.parametrize("scheme", [
+        "none", "mithril", "mithril+", "parfm", "blockhammer", "para",
+        "cbt", "twice", "graphene",
+    ])
     def test_traces_unchanged_after_run(
         self, scheme, backend, chunk, monkeypatch
     ):

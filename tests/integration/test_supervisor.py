@@ -9,17 +9,23 @@ an opaque pool error.
 """
 
 import json
+import logging
+import os
+import signal
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import (
     JobExecutionError,
     SimJob,
+    execute_job,
     normal_workload_specs,
     result_to_dict,
     run_jobs,
 )
-from repro.engine.supervisor import RetryPolicy
+from repro.engine.supervisor import RetryPolicy, SupervisedPool
 from repro.faults import FAULT_PLAN_ENV
 
 TINY = 0.1
@@ -216,3 +222,81 @@ class TestDeterminism:
                            retry_policy=_fast_policy())
         assert run_jobs.last_stats.retried == 2
         assert _dumps(clean) == _dumps(faulted)
+
+
+def _items(jobs):
+    return [(job.job_hash(), job) for job in jobs]
+
+
+class TestPoolReuse:
+    """One pool serves many ``run()`` calls (a campaign's batches)."""
+
+    def test_workers_outlive_a_run(self):
+        items = _items(_tiny_jobs(3))
+        with SupervisedPool(2, policy=_fast_policy()) as pool:
+            first = pool.run(items[:2])
+            pids = [w.proc.pid for w in pool._workers]
+            second = pool.run(items[2:])
+            assert [w.proc.pid for w in pool._workers] == pids
+            assert first.retried == second.retried == 0
+        assert pool._workers == []
+        assert {**first.results, **second.results} == {
+            job_hash: execute_job(job) for job_hash, job in items
+        }
+
+    def test_stale_results_are_ignored(self, caplog):
+        """Late answers from leases the supervisor gave up on — a dead
+        worker's, or a live worker's earlier attempt — neither finish
+        nor fail the job now leased under the same hash."""
+        (h0, j0), (h1, j1) = _items(_tiny_jobs(2))
+        with SupervisedPool(1, policy=_fast_policy()) as pool:
+            pool.run([(h0, j0)])
+            live = pool._workers[0].proc.pid
+            dead = os.getpid()  # never a worker
+            pool._result_queue.put(("ok", dead, 1, h1, "bogus", None))
+            pool._result_queue.put(("err", live, 0, h1, "boom", "tb"))
+            deadline = time.monotonic() + 5.0
+            while pool._result_queue.empty():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with caplog.at_level(logging.INFO, "repro.engine.supervisor"):
+                outcome = pool.run([(h1, j1)])
+            assert pool._result_queue.empty()
+        assert outcome.results == {h1: execute_job(j1)}
+        assert outcome.retried == 0
+        assert outcome.failures == {}
+        stale = [r for r in caplog.records if "stale" in r.getMessage()]
+        assert len(stale) == 2
+
+    def test_dead_idle_worker_is_replaced_without_a_retry(self):
+        (h0, j0), (h1, j1) = _items(_tiny_jobs(2))
+        with SupervisedPool(1, policy=_fast_policy()) as pool:
+            pool.run([(h0, j0)])
+            victim = pool._workers[0].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            outcome = pool.run([(h1, j1)])
+            assert pool._workers[0].proc.pid != victim.pid
+        assert outcome.retried == 0
+        assert outcome.failures == {}
+        assert set(outcome.results) == {h1}
+
+    def test_affinity_prefers_own_then_unheld_then_earliest(self):
+        jobs = {
+            job_hash: SimpleNamespace(workload=workload)
+            for job_hash, workload in (
+                ("a1", "A"), ("b1", "B"), ("c1", "C"), ("a2", "A"),
+            )
+        }
+        me = SimpleNamespace(workload="A")
+        other = SimpleNamespace(workload="B")
+        pool = SupervisedPool(2)
+        pool._workers = [me, other]
+        ready = [(0.0, 0, "b1"), (0.0, 1, "c1"), (0.0, 2, "a2")]
+        assert pool._pick(me, ready, 1.0, jobs)[2] == "a2"
+        me.workload = "D"
+        assert pool._pick(me, ready, 1.0, jobs)[2] == "c1"
+        other.workload = "A"
+        held_only = [(0.5, 4, "a1"), (0.0, 5, "a2")]
+        assert pool._pick(me, held_only, 1.0, jobs)[2] == "a2"
+        assert pool._pick(me, [(2.0, 3, "a1")], 1.0, jobs) is None
