@@ -1003,6 +1003,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -1031,9 +1038,9 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
     p_exp.add_argument("id", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument("--scale", type=float, default=1.0,
+    p_exp.add_argument("--scale", type=_positive_float, default=1.0,
                        help="trace-length multiplier (default 1.0)")
-    p_exp.add_argument("--jobs", type=int, default=1,
+    p_exp.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for simulation jobs "
                             "(default 1 = serial; results are identical "
                             "at any setting)")
@@ -1104,7 +1111,7 @@ def main(argv=None) -> int:
                                  "REPRO_CAMPAIGN_DIR or "
                                  "~/.cache/repro/campaigns)")
         if with_scale:
-            parser.add_argument("--scale", type=float, default=None,
+            parser.add_argument("--scale", type=_positive_float, default=None,
                                 help="override every experiment's "
                                      "trace-length scale")
 
@@ -1119,7 +1126,7 @@ def main(argv=None) -> int:
         "run", help="run (or resume) a campaign; checkpoints per batch"
     )
     _campaign_common(c_run, with_scale=True)
-    c_run.add_argument("--jobs", type=int, default=1,
+    c_run.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, kept for the whole "
                             "campaign")
     c_run.add_argument("--no-cache", action="store_true",
@@ -1189,7 +1196,7 @@ def main(argv=None) -> int:
         "report", help="render the campaign report (markdown or JSON)"
     )
     _campaign_common(c_report)
-    c_report.add_argument("--jobs", type=int, default=1)
+    c_report.add_argument("--jobs", type=_positive_int, default=1)
     c_report.add_argument("--json", action="store_true")
     c_report.add_argument("--output", default=None,
                           help="write to a file instead of stdout")
@@ -1231,7 +1238,7 @@ def main(argv=None) -> int:
     )
     p_prof.add_argument("--workload", default="mix-high")
     p_prof.add_argument("--scheme", default="mithril")
-    p_prof.add_argument("--scale", type=float, default=1.0)
+    p_prof.add_argument("--scale", type=_positive_float, default=1.0)
     p_prof.add_argument("--flip-th", type=int, default=6_250)
     p_prof.add_argument("--backend", choices=["scalar", "turbo"],
                         default=None,
@@ -1263,7 +1270,7 @@ def main(argv=None) -> int:
                          help="TraceSet directory to write")
     t_synth.add_argument("--name", default=None,
                          help="TraceSet name (default: the kind)")
-    t_synth.add_argument("--scale", type=float, default=1.0)
+    t_synth.add_argument("--scale", type=_positive_float, default=1.0)
     t_synth.add_argument("--cores", type=int, default=4)
     t_synth.add_argument("--banks", type=int, default=16)
     t_synth.add_argument("--seed", type=int, default=None,
@@ -1315,7 +1322,7 @@ def main(argv=None) -> int:
     t_smoke = tsub.add_parser(
         "smoke", help="build one tiny instance of every workload kind"
     )
-    t_smoke.add_argument("--scale", type=float, default=0.1)
+    t_smoke.add_argument("--scale", type=_positive_float, default=0.1)
     t_smoke.set_defaults(func=_cmd_traces_smoke)
 
     p_trace = sub.add_parser(

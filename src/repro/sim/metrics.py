@@ -1,9 +1,8 @@
 """Simulation results, derived metrics, and histogram utilities.
 
 The histogram/percentile helpers at the bottom back the probe layer
-(:mod:`repro.sim.probes`) and its report renderer: they are exact,
-deterministic, and pure python, so the no-numpy lane gets identical
-values.
+(:mod:`repro.sim.probes`) and its report renderer: they are exact
+and deterministic.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.streaming.counting_bloom import CountingBloomFilter
 from repro.workloads.trace import CoreTrace, TraceEntry
 
@@ -102,19 +104,17 @@ def rotation_attack_trace(
 
 
 def _vectorized_probe_matrix(cbf: CountingBloomFilter, search_space: int):
-    """(search_space, k) probe-index matrix, or None without numpy.
+    """(search_space, k) probe-index matrix of the rows ``0..search_space``.
 
     The attacker's profiling sweep batch-probes the whole search space
     in one vectorized hash pass
-    (:meth:`~repro.streaming.vectorized.NumpyCountingBloomFilter.probe_indices_many`);
-    a numpy-less environment keeps the scalar filter's lazy per-row
-    loops below — identical rows either way (same hash family and
-    seed), asserted by tests/unit/test_attacks.py.
+    (:meth:`~repro.streaming.vectorized.NumpyCountingBloomFilter.probe_indices_many`)
+    with the scalar filter's hash family and seed, so the rows found
+    equal a per-row ``cbf._indices`` sweep (asserted by
+    tests/unit/test_attacks.py).
     """
-    try:
-        from repro.streaming.vectorized import NumpyCountingBloomFilter
-    except ImportError:
-        return None
+    from repro.streaming.vectorized import NumpyCountingBloomFilter
+
     twin = NumpyCountingBloomFilter(cbf.size, cbf.num_hashes, cbf._seed)
     return twin.probe_indices_many(range(search_space))
 
@@ -134,23 +134,15 @@ def find_aliasing_rows(
     """
     target_indices = set(cbf._indices(target_row))
     matrix = _vectorized_probe_matrix(cbf, search_space)
-    if matrix is None:
-        shared_of = lambda row: sum(  # noqa: E731
-            1 for idx in cbf._indices(row) if idx in target_indices
-        )
-    else:
-        import numpy as np
-
-        targets = np.fromiter(
-            target_indices, dtype=np.int64, count=len(target_indices)
-        )
-        counts = np.isin(matrix, targets).sum(axis=1)
-        shared_of = counts.__getitem__
+    targets = np.fromiter(
+        target_indices, dtype=np.int64, count=len(target_indices)
+    )
+    counts = np.isin(matrix, targets).sum(axis=1)
     aliases = []
     for row in range(search_space):
         if row == target_row:
             continue
-        if shared_of(row) >= min_shared:
+        if counts[row] >= min_shared:
             aliases.append(row)
             if len(aliases) >= count:
                 break
@@ -172,21 +164,10 @@ def find_covering_rows(
     needed = list(dict.fromkeys(cbf._indices(target_row)))
     matrix = _vectorized_probe_matrix(cbf, search_space)
     covers: List[int] = []
-    if matrix is not None:
-        import numpy as np
-
-        for index in needed:
-            for row in np.flatnonzero((matrix == index).any(axis=1)):
-                row = int(row)
-                if row != target_row and row not in covers:
-                    covers.append(row)
-                    break
-        return covers
     for index in needed:
-        for row in range(search_space):
-            if row == target_row or row in covers:
-                continue
-            if index in cbf._indices(row):
+        for row in np.flatnonzero((matrix == index).any(axis=1)):
+            row = int(row)
+            if row != target_row and row not in covers:
                 covers.append(row)
                 break
     return covers

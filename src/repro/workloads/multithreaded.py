@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.workloads.nprng import default_rng, zipf_weights
+import numpy as np
+
 from repro.workloads.trace import CoreTrace, TraceEntry
 
 
@@ -62,7 +63,7 @@ def fft_like(
     seed: int = 21,
 ) -> List[CoreTrace]:
     """FFT: partitioned sweeps with stride-doubling exchange phases."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     partition = footprint_rows // num_cores
     traces = []
     for core in range(num_cores):
@@ -101,7 +102,7 @@ def radix_like(
     seed: int = 22,
 ) -> List[CoreTrace]:
     """RADIX: local counting sweep then global scatter (permute)."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     partition = footprint_rows // num_cores
     traces = []
     for core in range(num_cores):
@@ -123,6 +124,14 @@ def radix_like(
     return traces
 
 
+def zipf_weights(count: int, exponent: float) -> np.ndarray:
+    """Normalized ``1 / rank**exponent`` weights, rank = 1..count."""
+    ranks = np.arange(1, count + 1, dtype=np.float64)
+    weights = 1.0 / np.power(ranks, exponent)
+    weights /= weights.sum()
+    return weights
+
+
 def pagerank_like(
     num_cores: int = 16,
     num_requests: int = 4000,
@@ -133,10 +142,9 @@ def pagerank_like(
     seed: int = 23,
 ) -> List[CoreTrace]:
     """PageRank: power-law vertex popularity over a huge footprint."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     traces = []
-    # Zipf-ish vertex popularity shared by all threads (bit-identical
-    # with and without numpy; see nprng.zipf_weights).
+    # Zipf-ish vertex popularity shared by all threads.
     weights = zipf_weights(footprint_rows, skew)
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)

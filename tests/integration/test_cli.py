@@ -71,6 +71,27 @@ class TestCampaignRunLimits:
         assert limit[0] in capsys.readouterr().err
 
 
+class TestScaleAndJobsValidation:
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "smoke", "--dry-run", "--scale", "-1"],
+        ["campaign", "run", "smoke", "--dry-run", "--scale", "0"],
+        ["campaign", "plan", "smoke", "--scale", "0"],
+        ["campaign", "run", "smoke", "--dry-run", "--jobs", "-3"],
+        ["campaign", "run", "smoke", "--dry-run", "--jobs", "0"],
+        ["campaign", "report", "smoke", "--jobs", "0"],
+        ["experiment", "fig7", "--scale", "-0.5"],
+        ["experiment", "fig7", "--jobs", "0"],
+        ["profile", "--scale", "0"],
+        ["traces", "smoke", "--scale", "-1"],
+        ["traces", "synth", "mix-high", "-o", "out", "--scale", "0"],
+    ], ids=lambda argv: "-".join(argv[:2] + argv[-2:]))
+    def test_non_positive_values_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+
 class TestCacheCommand:
     def test_gc_dead_generation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

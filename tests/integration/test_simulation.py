@@ -213,8 +213,6 @@ class TestInputTracesUnchanged:
     def test_traces_unchanged_after_run(
         self, scheme, backend, chunk, monkeypatch
     ):
-        if backend == "turbo":
-            pytest.importorskip("numpy", reason="turbo backend needs numpy")
         if chunk is not None:
             monkeypatch.setenv("REPRO_SOA_CHUNK", chunk)
         from repro.engine.executor import materialize_job

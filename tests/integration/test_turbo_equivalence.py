@@ -13,8 +13,6 @@ import dataclasses
 
 import pytest
 
-pytest.importorskip("numpy", reason="turbo backend needs numpy")
-
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler

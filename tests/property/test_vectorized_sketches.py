@@ -9,10 +9,6 @@ decrements (including past-zero clamping) and resets — through both
 implementations and requires exact agreement at every step.
 """
 
-import pytest
-
-pytest.importorskip("numpy", reason="vectorized engines need numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

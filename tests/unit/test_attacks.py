@@ -106,7 +106,6 @@ class TestVectorizedProfiler:
         return covers
 
     def test_find_aliasing_matches_scalar_sweep(self):
-        pytest.importorskip("numpy")
         cbf = CountingBloomFilter(size=64, num_hashes=4, seed=0xB10F)
         for target in (5, 999, 4021):
             assert find_aliasing_rows(
@@ -114,7 +113,6 @@ class TestVectorizedProfiler:
             ) == self._scalar_aliasing(cbf, target, 6, 4096)
 
     def test_find_covering_matches_scalar_sweep(self):
-        pytest.importorskip("numpy")
         cbf = CountingBloomFilter(size=256, num_hashes=4, seed=0xB10F)
         for target in (7, 123, 5000):
             assert find_covering_rows(
@@ -122,7 +120,6 @@ class TestVectorizedProfiler:
             ) == self._scalar_covering(cbf, target, 8192)
 
     def test_probe_indices_many_matches_scalar(self):
-        np = pytest.importorskip("numpy")
         from repro.streaming.vectorized import NumpyCountingBloomFilter
 
         cbf = CountingBloomFilter(size=128, num_hashes=5, seed=0x1234)

@@ -79,10 +79,7 @@ class TestEnergyCounts:
 
 
 class TestPow2Histograms:
-    """Exact-value coverage of the probe layer's histogram helpers.
-
-    Pure python on purpose: the no-numpy CI lane runs these too.
-    """
+    """Exact-value coverage of the probe layer's histogram helpers."""
 
     def test_bucket_zero_and_negative(self):
         assert pow2_bucket(0) == 0

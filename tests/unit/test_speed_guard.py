@@ -247,13 +247,7 @@ class TestControlledPairsFlow:
         assert candidate["pairs_run"] == 3
         assert candidate["median_speedup"] == pytest.approx(2.0)
         assert candidate["speedup_samples"] == [1.5, 2.0, 4.0]
-        from repro.sim.backend import numpy_available
-
-        # annotated with what actually ran: without numpy the turbo
-        # candidate honestly degrades to scalar
-        assert candidate["backend"] == (
-            "turbo" if numpy_available() else "scalar"
-        )
+        assert candidate["backend"] == "turbo"
         assert record["entries"][0]["backend"] == "scalar"
         # the recorded pair is the *median* measurement, not the best
         assert candidate["total_wall_s"] == pytest.approx(0.5)
