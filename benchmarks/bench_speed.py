@@ -47,7 +47,7 @@ def main(argv=None) -> int:
              "baseline-controlled partner (warns instead of refusing)",
     )
     parser.add_argument(
-        "--backend", choices=["scalar", "turbo"], default=None,
+        "--backend", choices=["native", "scalar", "turbo"], default=None,
         help="simulation backend to time (with --pairs: the candidate "
              "backend, default turbo)",
     )

@@ -3,7 +3,8 @@
 `pip install -e .` needs wheel for PEP-517 editable installs; this shim
 lets `python setup.py develop` work offline as a fallback.  The package
 lives under `src/`; numpy is required (workload generation and the
-turbo backend draw on it).
+turbo backend draw on it).  The default native backend needs a C
+compiler and the interpreter's headers at first use.
 """
 
 import re
@@ -22,5 +23,7 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the native backend compiles its C drain from the installed source
+    package_data={"repro.sim.native": ["*.c"]},
     install_requires=["numpy"],
 )

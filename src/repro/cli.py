@@ -25,11 +25,11 @@ bench-speed         Time simulate() on a preset; append to the
                     BENCH_SIM_SPEED.json speed trajectory
                     (``*-controlled`` labels are policed; see
                     --allow-uncontrolled).  ``--backend`` times the
-                    scalar or turbo backend; ``--pairs N`` runs N
+                    native, scalar or turbo backend; ``--pairs N`` runs N
                     back-to-back scalar-vs-candidate pairs and
                     records the median pair (docs/ENGINE.md).
 profile             cProfile one workload x scheme simulation
-                    (``--backend {scalar,turbo}`` to compare the
+                    (``--backend {native,scalar,turbo}`` to compare the
                     per-phase split across backends).
 traces <cmd>        Trace foundry: ingest external traces, synthesize
                     stress families, characterize ACT streams
@@ -62,6 +62,7 @@ from pathlib import Path
 from repro.core.config import configuration_curve
 from repro.experiments.runner import EXPERIMENTS
 from repro.protection import build_scheme, scheme_names
+from repro.sim.backend import BACKENDS
 from repro.verify.adversary import (
     double_sided_stream,
     many_sided_stream,
@@ -1220,10 +1221,10 @@ def main(argv=None) -> int:
                          help="record a *-controlled entry even without "
                               "its back-to-back baseline-controlled "
                               "partner (warns instead of refusing)")
-    p_bench.add_argument("--backend", choices=["scalar", "turbo"],
+    p_bench.add_argument("--backend", choices=list(BACKENDS),
                          default=None,
                          help="simulation backend to time (default: "
-                              "REPRO_SIM_BACKEND or scalar); with "
+                              "REPRO_SIM_BACKEND or native); with "
                               "--pairs this is the candidate backend")
     p_bench.add_argument("--pairs", type=int, default=0,
                          help="run N back-to-back scalar-vs-candidate "
@@ -1240,10 +1241,10 @@ def main(argv=None) -> int:
     p_prof.add_argument("--scheme", default="mithril")
     p_prof.add_argument("--scale", type=_positive_float, default=1.0)
     p_prof.add_argument("--flip-th", type=int, default=6_250)
-    p_prof.add_argument("--backend", choices=["scalar", "turbo"],
+    p_prof.add_argument("--backend", choices=list(BACKENDS),
                         default=None,
                         help="simulation backend to profile (default: "
-                             "REPRO_SIM_BACKEND or scalar), so the "
+                             "REPRO_SIM_BACKEND or native), so the "
                              "per-phase split can be compared across "
                              "backends")
     p_prof.add_argument("--sort", default="cumulative",

@@ -14,8 +14,9 @@ invalidated.  Each generation also carries an ``index.jsonl``
 by scheme, workload, FlipTH, or campaign experiment without opening
 entry files.
 
-The *code version* is a hash over every ``*.py`` file of the ``repro``
-package plus an explicit schema salt, so any change to the simulator,
+The *code version* is a hash over every ``*.py``, ``*.c`` and ``*.h``
+file of the ``repro`` package, the numpy version and an explicit
+schema salt, so any change to the simulator,
 the schemes, or the workload generators silently invalidates old
 entries — a stale cache can never masquerade as a fresh result.  The
 salt (:data:`CACHE_SCHEMA_SALT`) exists for deliberate bumps: the
@@ -73,6 +74,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: machinery existed.
 CACHE_SCHEMA_SALT = "v3-turbo"
 
+#: Package files whose bytes key the store (see :func:`code_version`).
+SOURCE_PATTERNS = ("*.py", "*.c", "*.h")
+
 _code_version: Optional[str] = None
 
 
@@ -86,24 +90,43 @@ def default_cache_dir() -> Path:
 def code_version() -> str:
     """Hash of the installed ``repro`` sources (the cache salt).
 
-    The scalar/turbo simulation *backend* is deliberately **not**
-    folded in — backends are byte-identical (golden-pinned)
-    implementation details and share cache entries.
+    Covers every ``*.py``, ``*.c`` and ``*.h`` file of the package — the
+    native backend's C drain computes results too — plus the numpy
+    version: numpy's ``Generator`` draws every workload, and NumPy does
+    not promise stream compatibility across releases (NEP 19), so an
+    upgrade must not serve points drawn by the old version.
+
+    The simulation *backend* is deliberately **not** folded in —
+    backends are byte-identical (golden-pinned) implementation details
+    and share cache entries.
     """
     global _code_version
     if _code_version is None:
         import repro
 
-        package_root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        digest.update(CACHE_SCHEMA_SALT.encode())
-        digest.update(b"\0")
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(path.relative_to(package_root).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        _code_version = digest.hexdigest()[:16]
+        _code_version = source_version(Path(repro.__file__).resolve().parent)
     return _code_version
+
+
+def source_version(package_root: Path) -> str:
+    """The :func:`code_version` digest of the package tree at
+    ``package_root`` under the running numpy (uncached)."""
+    import numpy
+
+    digest = hashlib.sha256()
+    digest.update(CACHE_SCHEMA_SALT.encode())
+    digest.update(b"\0")
+    digest.update(f"numpy={numpy.__version__}".encode())
+    digest.update(b"\0")
+    sources = [
+        path for pattern in SOURCE_PATTERNS
+        for path in package_root.rglob(pattern)
+    ]
+    for path in sorted(sources):
+        digest.update(path.relative_to(package_root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:

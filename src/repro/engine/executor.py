@@ -50,6 +50,7 @@ from repro.engine.supervisor import (
     RetryPolicy,
     SupervisedPool,
 )
+from repro.sim.backend import prepare_backend
 from repro.sim.metrics import SimulationResult
 
 #: Default retry budget for failed/crashed/timed-out jobs.
@@ -132,9 +133,11 @@ def _memo_workload(spec: WorkloadSpec) -> list:
 
 def execute_job(job: SimJob) -> SimulationResult:
     """Materialize and run one job (also the worker-process entry)."""
+    from repro import telemetry
     from repro.sim.system import simulate
 
-    traces, factory, config, rfm_th = materialize_job(job, memo=True)
+    with telemetry.span("job.materialize", workload=job.workload.kind):
+        traces, factory, config, rfm_th = materialize_job(job, memo=True)
     return simulate(
         traces,
         scheme_factory=factory,
@@ -309,6 +312,9 @@ def run_jobs(
         if job_hash not in results
     ]
     if missing:
+        # One-time backend set-up (the native build) here, before any
+        # worker forks; a zero-simulation replay never reaches it.
+        prepare_backend()
         workers = min(n_jobs, len(missing))
         supervised = (
             pool is not None or workers > 1 or job_timeout is not None

@@ -138,11 +138,15 @@ def _worker_main(task_queue, result_queue) -> None:
         item = task_queue.get()
         if item is None:
             return
-        job_hash, attempt, job = item
+        job_hash, attempt, job, batch = item
         try:
             faults.maybe_fail("worker.execute", job_hash)
+            # ``batch`` names the supervisor batch that leased this job
+            # (the ``supervisor.batch`` span with the same id): workers
+            # outlive batches, so the lease, not the fork, is the parent.
             span = (
-                tel.span("job.execute", job=job_hash, scheme=job.scheme)
+                tel.span("job.execute", job=job_hash, scheme=job.scheme,
+                         batch=batch)
                 if tel is not None else telemetry.NOOP_SPAN
             )
             with span:
@@ -187,8 +191,8 @@ class _Worker:
         self.lease_wall: Optional[float] = None
 
     def assign(self, job_hash: str, attempt: int, job: SimJob,
-               timeout: Optional[float]) -> None:
-        self.task_queue.put((job_hash, attempt, job))
+               timeout: Optional[float], batch: str = "") -> None:
+        self.task_queue.put((job_hash, attempt, job, batch))
         self.current = job_hash
         self.attempt = attempt
         self.workload = job.workload
@@ -273,6 +277,10 @@ class SupervisedPool:
         self.ctx = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self._result_queue = None
+        #: id of the current :meth:`run` batch (``<pid>:<n>``), sent
+        #: with every lease so worker spans name the batch they serve.
+        self._batch = ""
+        self._batches = 0
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -320,8 +328,14 @@ class SupervisedPool:
         """Run ``items`` (``(job_hash, job)`` pairs) to completion or
         quarantine.  An exception (including ``KeyboardInterrupt``)
         closes the pool before it propagates."""
+        from repro import telemetry
+
+        self._batches += 1
+        self._batch = f"{os.getpid()}:{self._batches}"
         try:
-            return self._run(items)
+            with telemetry.span("supervisor.batch", batch=self._batch,
+                                jobs=len(items)):
+                return self._run(items)
         except BaseException:
             self.close()
             raise
@@ -378,6 +392,7 @@ class SupervisedPool:
                 "lease", worker.lease_wall,
                 time.time() - worker.lease_wall,
                 tid=worker.proc.pid, job=worker.current, result=result,
+                batch=self._batch,
             )
 
         def attempt_failed(job_hash: str, reason: str, message: str,
@@ -456,7 +471,7 @@ class SupervisedPool:
                 outcome.queue_wait_s += max(0.0, now - eligible_since)
                 worker.assign(
                     job_hash, attempts[job_hash], jobs[job_hash],
-                    self.job_timeout,
+                    self.job_timeout, self._batch,
                 )
                 if tel is not None:
                     tel.event(

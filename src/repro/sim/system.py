@@ -513,13 +513,17 @@ def make_system(
     """Build one system on the resolved backend (see repro.sim.backend).
 
     ``backend=None`` consults ``REPRO_SIM_BACKEND`` and defaults to
-    ``scalar``; ``turbo`` silently degrades to ``scalar`` (with a
-    one-line warning) when numpy is unavailable.  Results are
-    byte-identical across backends — the golden suite runs both.
+    ``native``.  Results are byte-identical across backends — the
+    golden suite runs all three.
     """
-    from repro.sim.backend import TURBO, resolve_backend
+    from repro.sim.backend import NATIVE, TURBO, resolve_backend
 
-    if resolve_backend(backend) == TURBO:
+    name = resolve_backend(backend)
+    if name == NATIVE:
+        from repro.sim.native import NativeSimulatedSystem
+
+        system_class = NativeSimulatedSystem
+    elif name == TURBO:
         from repro.sim.turbo import TurboSimulatedSystem
 
         system_class = TurboSimulatedSystem

@@ -19,12 +19,14 @@ Timing covers :func:`repro.sim.system.simulate` only — workload
 materialization and scheme-factory construction happen outside the
 timed region, mirroring what the engine executor amortizes away.
 
-Two presets:
+Three presets:
 
 * ``tiny`` — a seconds-long smoke run for CI (timing non-gating there;
   the determinism of the accompanying results is what CI asserts).
 * ``medium`` — the regression yardstick: a sweep large enough that
   events/sec is stable run-to-run on an idle machine.
+* ``schemes`` — every shipped scheme on one workload, for the
+  per-scheme backend split (``--pairs`` with ``--backend native``).
 
 Entry points: ``python -m repro.cli bench-speed`` and the standalone
 ``benchmarks/bench_speed.py`` wrapper.
@@ -63,10 +65,16 @@ _PAIRS: Dict[str, List[Tuple[str, Dict[str, object], str]]] = {
         ("attack", {"pattern": "multi-sided", "seed": 31}, "mithril"),
         ("attack", {"pattern": "multi-sided", "seed": 31}, "blockhammer"),
     ],
+    # every shipped scheme on one workload: the per-scheme split
+    "schemes": [
+        ("mix-high", {"seed": 11}, scheme)
+        for scheme in ("none", "mithril", "mithril+", "parfm", "graphene",
+                       "blockhammer", "para", "cbt", "twice")
+    ],
 }
 
 #: Trace-length multiplier per preset (catalog ``scale``).
-_PRESET_SCALE = {"tiny": 0.25, "medium": 1.0}
+_PRESET_SCALE = {"tiny": 0.25, "medium": 1.0, "schemes": 1.0}
 
 #: FlipTH used for every pair (mid-range paper value).
 BENCH_FLIP_TH = 6_250
@@ -118,7 +126,7 @@ def _bench_jobs(preset: str):
 def run_preset(preset: str, backend: Optional[str] = None) -> List[SpeedRow]:
     """Time every pair of ``preset``; returns one row per pair.
 
-    ``backend`` selects the simulation backend (scalar / turbo; None
+    ``backend`` selects the simulation backend (native / scalar / turbo; None
     follows ``REPRO_SIM_BACKEND``).  The timed region is the whole
     ``simulate()`` call — system construction included, so the turbo
     backend's SoA decode pays its way inside the measurement.

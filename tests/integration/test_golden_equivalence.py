@@ -3,12 +3,11 @@
 The golden file (tests/golden/simulation_results.json) was captured
 from the pre-optimization simulator.  Every hot-path change — the
 zero-alloc event loop, the memoized schedulers, the array-backed
-sketches, the turbo backend's fused drain — must leave each shipped
+sketches, the turbo backend's fused drain, the native C drain — must leave each shipped
 scheme's `SimulationResult` exactly identical on every workload here:
 the comparison happens on canonical JSON, so even a float that differs
-in its last bit fails.  Every record runs under **both** simulation
-backends (``turbo`` skips when numpy is absent — there it falls back
-to scalar anyway).
+in its last bit fails.  Every record runs under **every** simulation
+backend: scalar, turbo and native.
 
 If a change is *meant* to alter results, regenerate via
 ``PYTHONPATH=src python tests/golden/generate_golden.py`` and say so in
@@ -23,7 +22,7 @@ import pytest
 from repro.engine.cache import result_to_dict
 from repro.engine.executor import execute_job
 from repro.engine.job import SimJob
-from repro.sim.backend import BACKEND_ENV
+from repro.sim.backend import BACKEND_ENV, BACKENDS
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
@@ -49,7 +48,7 @@ def _ids():
     ]
 
 
-@pytest.fixture(params=["scalar", "turbo"])
+@pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, request.param)
     return request.param

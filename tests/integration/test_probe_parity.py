@@ -3,8 +3,9 @@
 The probe layer (:mod:`repro.sim.probes`) samples scheme internals at
 fixed cycle intervals.  Its exactness contract — both backends sample
 at the same logical point in the event stream — is gated here: for
-every scheme family the scalar and turbo backends must emit probe
-streams whose file contents are *equal bytes*, while the
+every scheme family the scalar, turbo and native backends must emit
+probe streams whose file contents are *equal bytes* (native runs the
+scalar drain whenever probes are on), while the
 ``SimulationResult`` stays identical to a probes-off run.  The battery
 also covers the chunked SoA decode path, seal verification, the
 probes-off zero-file guarantee, and the report/Perfetto renderers.
@@ -66,7 +67,8 @@ def _single_stream(directory):
 
 
 class TestCrossBackendParity:
-    """Scalar vs turbo probe streams, byte for byte, per scheme."""
+    """Scalar vs turbo vs native probe streams, byte for byte, per
+    scheme."""
 
     @pytest.mark.parametrize(
         "scheme",
@@ -77,7 +79,7 @@ class TestCrossBackendParity:
         job = _job(scheme)
         results = {}
         texts = {}
-        for backend in ("scalar", "turbo"):
+        for backend in ("scalar", "turbo", "native"):
             directory = tmp_path / backend
             results[backend] = _run_probed(
                 job, backend, directory, monkeypatch
@@ -87,8 +89,8 @@ class TestCrossBackendParity:
             records, sealed = read_probe_stream(path)
             assert sealed, f"{backend} stream not sealed"
             assert any(r["k"] == "sample" for r in records)
-        assert results["scalar"] == results["turbo"]
-        assert texts["scalar"] == texts["turbo"]
+        assert results["scalar"] == results["turbo"] == results["native"]
+        assert texts["scalar"] == texts["turbo"] == texts["native"]
 
     def test_parity_through_chunked_decode(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
@@ -104,7 +106,7 @@ class TestCrossBackendParity:
 class TestNonPerturbation:
     """Probing must never change what the simulation computes."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "turbo"])
+    @pytest.mark.parametrize("backend", ["scalar", "turbo", "native"])
     @pytest.mark.parametrize("scheme", ["mithril", "blockhammer"])
     def test_results_match_probes_off(self, backend, scheme, tmp_path,
                                       monkeypatch):

@@ -1,4 +1,4 @@
-"""Scalar and turbo backends agree beyond the golden matrix.
+"""Scalar, turbo and native backends agree beyond the golden matrix.
 
 The golden suite pins the default configuration (BLISS scheduler,
 minimalist-open pages).  This battery drives the *other* fused-path
@@ -6,7 +6,9 @@ branches — FR-FCFS scheduling, open/closed page policies, ARR schemes
 through the generic tracker call, RFM issue, non-default hammer blast
 ranges (which drop the hammer fast path), and non-fusable component
 subclasses (which drop the whole fused drain) — asserting exact
-``SimulationResult`` equality between backends every time.
+``SimulationResult`` equality between backends every time.  Every
+``_run_both`` configuration also runs the native C drain (never
+delegated: all components are stock there).
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import pytest
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler
+from repro.sim.native import NativeSimulatedSystem
 from repro.sim.system import SimulatedSystem, make_system
 from repro.sim.turbo import TurboSimulatedSystem
 
@@ -23,7 +26,7 @@ from repro.sim.turbo import TurboSimulatedSystem
 def _run_both(job, expect_fused=True):
     traces, factory, config, rfm_th = materialize_job(job)
     results = {}
-    for backend in ("scalar", "turbo"):
+    for backend in ("scalar", "turbo", "native"):
         system = make_system(
             traces,
             scheme_factory=factory,
@@ -37,8 +40,11 @@ def _run_both(job, expect_fused=True):
         if backend == "turbo":
             assert isinstance(system, TurboSimulatedSystem)
             assert system._fused is expect_fused
+        if backend == "native":
+            assert isinstance(system, NativeSimulatedSystem)
+            assert system.delegation_reason() is None
         results[backend] = system.run(max_cycles=job.max_cycles)
-    assert results["scalar"] == results["turbo"]
+    assert results["scalar"] == results["turbo"] == results["native"]
     return results["scalar"]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.backend import (
     BACKEND_ENV,
+    NATIVE,
     SCALAR,
     TURBO,
     resolve_backend,
@@ -13,9 +14,9 @@ from repro.sim.backend import (
 
 
 class TestResolveBackend:
-    def test_default_is_scalar(self, monkeypatch):
+    def test_default_is_native(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == SCALAR
+        assert resolve_backend() == NATIVE
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "turbo")
@@ -34,13 +35,15 @@ class TestResolveBackend:
             resolve_backend("warp")
 
     def test_make_system_returns_backend_class(self, monkeypatch):
+        from repro.sim.native import NativeSimulatedSystem
         from repro.sim.system import SimulatedSystem, make_system
         from repro.sim.turbo import TurboSimulatedSystem
         from repro.workloads.synthetic import random_access_trace
 
         traces = [random_access_trace(num_requests=8)]
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert type(make_system(traces)) is SimulatedSystem
+        assert type(make_system(traces)) is NativeSimulatedSystem
+        assert type(make_system(traces, backend="scalar")) is SimulatedSystem
         assert type(
             make_system(traces, backend="turbo")
         ) is TurboSimulatedSystem
@@ -73,7 +76,7 @@ class TestBackendIsNotAResultDimension:
 
         job = self._tiny_job()
         payloads = {}
-        for backend in ("scalar", "turbo"):
+        for backend in ("scalar", "turbo", "native"):
             cache_dir = tmp_path / backend
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
             monkeypatch.setenv(BACKEND_ENV, backend)
@@ -82,6 +85,6 @@ class TestBackendIsNotAResultDimension:
             path = cache.path_for(job)
             assert path.exists()
             payloads[backend] = path.read_bytes()
-        assert payloads["scalar"] == payloads["turbo"]
-        entry = json.loads(payloads["turbo"])
+        assert payloads["scalar"] == payloads["turbo"] == payloads["native"]
+        entry = json.loads(payloads["native"])
         assert "backend" not in entry  # implementation detail, not data

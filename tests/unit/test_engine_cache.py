@@ -153,3 +153,57 @@ class TestCacheLocation:
     def test_code_version_is_stable(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
+
+
+class TestSourceVersion:
+    """The store key covers every file a result depends on."""
+
+    @staticmethod
+    def _package_copy(tmp_path):
+        import shutil
+        from pathlib import Path
+
+        import repro
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).resolve().parent, root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def test_installed_tree_matches_code_version(self):
+        from pathlib import Path
+
+        import repro
+        from repro.engine.cache import source_version
+
+        root = Path(repro.__file__).resolve().parent
+        assert source_version(root) == code_version()
+
+    def test_edited_c_source_changes_digest(self, tmp_path):
+        from repro.engine.cache import source_version
+
+        root = self._package_copy(tmp_path)
+        drain = root / "sim" / "native" / "drain.c"
+        before = source_version(root)
+        drain.write_bytes(drain.read_bytes() + b"\n/* edit */\n")
+        assert source_version(root) != before
+
+    def test_new_header_changes_digest(self, tmp_path):
+        from repro.engine.cache import source_version
+
+        root = self._package_copy(tmp_path)
+        before = source_version(root)
+        (root / "sim" / "native" / "extra.h").write_text("#define X 1\n")
+        assert source_version(root) != before
+
+    def test_numpy_version_changes_digest(self, tmp_path, monkeypatch):
+        import numpy
+
+        from repro.engine.cache import source_version
+
+        root = self._package_copy(tmp_path)
+        before = source_version(root)
+        monkeypatch.setattr(numpy, "__version__", numpy.__version__ + ".1")
+        assert source_version(root) != before
