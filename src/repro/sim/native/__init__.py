@@ -94,34 +94,27 @@ def _class_stock(cls) -> bool:
                for name, value in _STOCK[cls].items())
 
 
-def _stock_check():
-    """A ``stock(obj, *classes)`` predicate for one delegation check:
-    ``obj`` is exactly one of ``classes``, unpatched at class level
-    (evaluated once per class here) and at instance level."""
-    unpatched = {cls for cls in _STOCK if _class_stock(cls)}
-
-    def stock(obj, *classes) -> bool:
+def _all_stock(objects, *classes) -> bool:
+    """Every object is exactly one of ``classes`` (``None`` allowed when
+    ``type(None)`` is listed), unpatched at class and instance level."""
+    allowed = {cls for cls in classes if cls is type(None)
+               or _class_stock(cls)}
+    for obj in objects:
         cls = type(obj)
-        if cls not in classes or cls not in unpatched:
+        if cls not in allowed:
             return False
         own = getattr(obj, "__dict__", None)
-        return not own or own.keys().isdisjoint(_STOCK[cls])
-
-    return stock
+        if own and not own.keys().isdisjoint(_STOCK[cls]):
+            return False
+    return True
 
 
 def _limit(max_cycles) -> Optional[int]:
     """``max_cycles`` as the drain's int64 bound (None: unbounded),
     keeping ``cycle > max_cycles`` exact for every integer cycle."""
-    if max_cycles is None:
+    if max_cycles is None or max_cycles >= _INT64_MAX:
         return None
-    if isinstance(max_cycles, float):
-        if math.isnan(max_cycles) or max_cycles == math.inf:
-            return None
-        if max_cycles == -math.inf:
-            return -_INT64_MAX - 1
-        max_cycles = math.floor(max_cycles)
-    return max(-_INT64_MAX - 1, min(int(max_cycles), _INT64_MAX))
+    return max(math.floor(max_cycles), -_INT64_MAX - 1)
 
 
 class NativeSimulatedSystem(SimulatedSystem):
@@ -136,31 +129,28 @@ class NativeSimulatedSystem(SimulatedSystem):
         """Why this system would run the Python drain, or None."""
         if self._probe is not None:
             return "probes"
-        _stock = _stock_check()
+        banks = self.banks
+        timing = [controller.bank for controller in banks]
+        rfm = [controller.rfm_logic for controller in banks]
         stock = (
             type(self) is NativeSimulatedSystem
             and _class_stock(SimulatedSystem)
             and vars(self).keys().isdisjoint(_STOCK[SimulatedSystem])
-            and all(_stock(core, TraceCore) for core in self.cores)
-            and all(_stock(s, FrFcfsScheduler, BlissScheduler)
-                    for s in self._schedulers)
+            and _all_stock(self.cores, TraceCore)
+            and _all_stock(self._schedulers, FrFcfsScheduler,
+                           BlissScheduler)
+            and _all_stock(banks, BankController)
+            and _all_stock(timing, BankTimingModel)
+            and _all_stock((bank.faw for bank in timing), FawTracker,
+                           type(None))
+            and _all_stock((c.refresh for c in banks), AutoRefreshEngine)
+            and _all_stock((c.channel_state for c in banks), ChannelState)
+            and _all_stock((c.page_policy for c in banks), type(None),
+                           *_POLICIES)
+            and _all_stock(rfm, RfmIssueLogic, type(None))
+            and _all_stock((r.raa for r in rfm if r is not None),
+                           RaaCounter)
         )
-        for controller in self.banks if stock else ():
-            faw = controller.bank.faw
-            rfm = controller.rfm_logic
-            if not (
-                _stock(controller, BankController)
-                and _stock(controller.bank, BankTimingModel)
-                and _stock(controller.refresh, AutoRefreshEngine)
-                and _stock(controller.channel_state, ChannelState)
-                and (faw is None or _stock(faw, FawTracker))
-                and (controller.page_policy is None
-                     or _stock(controller.page_policy, *_POLICIES))
-                and (rfm is None or (_stock(rfm, RfmIssueLogic)
-                                     and _stock(rfm.raa, RaaCounter)))
-            ):
-                stock = False
-                break
         return None if stock else "component"
 
     def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
@@ -183,7 +173,15 @@ class NativeSimulatedSystem(SimulatedSystem):
     # ------------------------------------------------------------------
 
     def _spec(self) -> tuple:
-        stock = _stock_check()
+        # the stock single-distance hammer model runs inline in C (on
+        # its own dict); any other one is called
+        hammers = [controller.hammer for controller in self.banks]
+        inline_hammer = _all_stock(hammers, HammerModel) and all(
+            hammer.blast_weights == (1.0,)
+            and type(hammer._disturbance) is dict
+            and type(hammer.flips) is list
+            for hammer in hammers
+        )
         channels: Dict[int, int] = {}
         faws: Dict[int, int] = {}
         channel_objs, faw_objs = [], []
@@ -225,14 +223,7 @@ class NativeSimulatedSystem(SimulatedSystem):
                     rfm.raa.rfm_th, rfm.mrr_gated, rfm.raa.value,
                     rfm.rfm_issued, rfm.rfm_elided, rfm.mrr_reads,
                 ),
-                # the stock single-distance model runs inline in C (on
-                # its own dict); any other one is called
-                hammer if (
-                    stock(hammer, HammerModel)
-                    and hammer.blast_weights == (1.0,)
-                    and type(hammer._disturbance) is dict
-                    and type(hammer.flips) is list
-                ) else None,
+                hammer if inline_hammer else None,
             ))
         cores = tuple(
             (core.trace.entries, core.index, core.outstanding_reads,

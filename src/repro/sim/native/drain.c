@@ -579,7 +579,9 @@ static int
 try_issue(Sim *S, Py_ssize_t core_id, int64_t cycle)
 {
     Core *C = &S->cores[core_id];
+    /* re-read per call, as the scalar issue path does */
     PyObject **items = PySequence_Fast_ITEMS(C->entries);
+    C->total = PySequence_Fast_GET_SIZE(C->entries);
     while (C->index < C->total) {
         if (cycle < C->next_issue)
             return push(S, C->next_issue, EV_ISSUE, core_id);
@@ -925,7 +927,6 @@ sim_init(Sim *S, PyObject *spec)
                                      "trace entries must be a sequence");
         if (C->entries == NULL)
             return -1;
-        C->total = PySequence_Fast_GET_SIZE(C->entries);
         if (item_i64(t, 1, &index) < 0 || item_i64(t, 2, &C->outstanding) < 0
             || item_i64(t, 3, &C->next_issue) < 0
             || item_i64(t, 4, &stalled) < 0
