@@ -71,6 +71,36 @@ class TestNonPerturbation:
         assert len(summary["processes"]) >= 2
 
 
+class TestSpanParents:
+    def test_job_spans_name_their_batch_across_pool_reuse(
+        self, monkeypatch, tmp_path
+    ):
+        """Workers outlive batches: every worker ``job.execute`` span
+        carries the id of the ``supervisor.batch`` that leased it, even
+        in a later batch on the same pool, and each job's workload
+        materialization is its own ``job.materialize`` span."""
+        from repro.engine.supervisor import SupervisedPool
+
+        monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "tel"))
+        jobs = _tiny_jobs(3)
+        with SupervisedPool(2) as pool:
+            run_jobs(jobs[:2], use_cache=False, pool=pool)
+            run_jobs(jobs[2:], use_cache=False, pool=pool)
+        spans = [
+            event for event in merge_events(tmp_path / "tel")
+            if event.get("kind") == "span"
+        ]
+        batches = [s["attrs"]["batch"] for s in spans
+                   if s["name"] == "supervisor.batch"]
+        assert len(batches) == 2 and len(set(batches)) == 2
+        executed = [s["attrs"]["batch"] for s in spans
+                    if s["name"] == "job.execute"]
+        assert sorted(executed) == sorted(
+            [batches[0]] * 2 + [batches[1]]
+        )
+        assert sum(s["name"] == "job.materialize" for s in spans) == 3
+
+
 class TestChaosTimeline:
     def test_crash_respawn_and_backoff_are_distinct_records(
         self, monkeypatch, tmp_path
