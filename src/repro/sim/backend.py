@@ -8,9 +8,9 @@ differ only in how the event loop executes:
 * ``native`` — :class:`repro.sim.native.NativeSimulatedSystem`; the
   event loop (heap, trace issue, bank timing and tFAW, page policy,
   FR-FCFS/BLISS, RAA/RFM counting, refresh horizon) runs in a C
-  extension compiled on first use, while every scheme tracker, the
-  hammer model and ARR/RFM/auto-refresh application stay the Python
-  objects, called from C.  A system with a non-stock (subclassed or
+  extension compiled on first use, while every scheme tracker and
+  ARR/RFM/auto-refresh application stay the Python objects, called
+  from C (the hammer model's state stays on its Python object too).  A system with a non-stock (subclassed or
   patched) component, or with ``REPRO_PROBES`` on, runs the scalar
   drain instead (telemetry counter ``sim.native.delegated.<reason>``).
   A missing compiler or ``Python.h`` raises ``NativeBuildError``; there

@@ -225,6 +225,9 @@ class NativeSimulatedSystem(SimulatedSystem):
                 ),
                 hammer if inline_hammer else None,
             ))
+        #: the distinct channel states and tFAW windows, in spec order,
+        #: for _write_back
+        self._shared = (channel_objs, faw_objs)
         cores = tuple(
             (core.trace.entries, core.index, core.outstanding_reads,
              core.next_issue_cycle, core.stalled_on_mlp, core.reads_issued,
@@ -277,17 +280,10 @@ class NativeSimulatedSystem(SimulatedSystem):
                 if acts and mrr_reads > energy.mrr_commands:
                     # MRR energy is accounted once per read
                     energy.mrr_commands = mrr_reads
-        channels = {}
-        faw_objs = {}
-        for controller in self.banks:
-            channels.setdefault(id(controller.channel_state),
-                                controller.channel_state)
-            faw = controller.bank.faw
-            if faw is not None:
-                faw_objs.setdefault(id(faw), faw)
-        for channel, bus in zip(channels.values(), buses):
+        channel_objs, faw_objs = self._shared
+        for channel, bus in zip(channel_objs, buses):
             channel.bus_free_cycle = bus
-        for faw, recent in zip(faw_objs.values(), faws):
+        for faw, recent in zip(faw_objs, faws):
             faw._recent.clear()
             faw._recent.extend(recent)
         for scheduler, (last_core, streak, listed) in zip(

@@ -8,7 +8,8 @@ interpreter ABI::
 
     <user cache>/repro/native/<digest>/_drain<EXT_SUFFIX>
 
-``<user cache>`` is ``$XDG_CACHE_HOME`` or ``~/.cache``; the directory
+``<user cache>`` is ``$XDG_CACHE_HOME`` or ``~/.cache`` (the system
+temp directory when neither is writable); the directory
 is deliberately outside the result store (``REPRO_CACHE_DIR``), so
 wiping or re-pointing the store never forces a recompile, and every
 store, campaign and worker on the machine shares one build.  The
@@ -71,9 +72,21 @@ def source_digest() -> str:
 
 
 def cache_root() -> Path:
-    """The shared per-user build directory (outside the result store)."""
+    """The shared per-user build directory (outside the result store).
+
+    A home without a writable cache directory (read-only or missing)
+    builds under the system temp directory instead, still once per
+    digest for the machine's user.
+    """
     base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
-    return Path(base) / "repro" / "native"
+    root = Path(base) / "repro" / "native"
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        pass
+    if os.access(root, os.W_OK):
+        return root
+    return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
 
 
 def artifact_path(root: Optional[Path] = None) -> Path:

@@ -257,3 +257,12 @@ class TestDelegation:
             )
 
         assert state(scalar) == state(native)
+
+
+def test_unwritable_cache_home_builds_under_temp(tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    root = build.cache_root()
+    assert not str(root).startswith(str(blocker))
+    assert root.name.startswith("repro-native-")
