@@ -191,7 +191,7 @@ class _Worker:
         self.lease_wall: Optional[float] = None
 
     def assign(self, job_hash: str, attempt: int, job: SimJob,
-               timeout: Optional[float], batch: str = "") -> None:
+               timeout: Optional[float], batch: str) -> None:
         self.task_queue.put((job_hash, attempt, job, batch))
         self.current = job_hash
         self.attempt = attempt

@@ -61,8 +61,8 @@ def resolve_backend(requested: Optional[str] = None) -> str:
     return name
 
 
-def prepare_backend(requested: Optional[str] = None) -> str:
-    """Resolve the backend and do its one-time per-process set-up.
+def prepare_backend() -> None:
+    """Do the resolved backend's one-time per-process set-up.
 
     For ``native`` that is compiling (first use on this machine) and
     loading the C drain; callers that fork workers call this first, so
@@ -71,12 +71,10 @@ def prepare_backend(requested: Optional[str] = None) -> str:
     :class:`repro.sim.native.NativeBuildError` — never a silent
     fallback to another backend.
     """
-    name = resolve_backend(requested)
-    if name == NATIVE:
+    if resolve_backend() == NATIVE:
         from repro import telemetry
         from repro.sim.native.build import load, loaded
 
         if not loaded():
             with telemetry.span("sim.native.load"):
                 load()
-    return name

@@ -8,8 +8,12 @@ interpreter ABI::
 
     <user cache>/repro/native/<digest>/_drain<EXT_SUFFIX>
 
-``<user cache>`` is ``$XDG_CACHE_HOME`` or ``~/.cache`` (the system
-temp directory when neither is writable); the directory
+``<user cache>`` is ``$XDG_CACHE_HOME`` or ``~/.cache``.  When that is
+not writable the build goes to ``<tmp>/repro-native-<uid>`` instead,
+which is used only if it is a real directory (not a symlink) owned by
+the current user and writable by nobody else; anything else raises
+:class:`NativeBuildError`, since another local user could otherwise
+plant a shared object there.  The directory
 is deliberately outside the result store (``REPRO_CACHE_DIR``), so
 wiping or re-pointing the store never forces a recompile, and every
 store, campaign and worker on the machine shares one build.  The
@@ -34,6 +38,7 @@ import hashlib
 import importlib.util
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import sysconfig
@@ -75,8 +80,8 @@ def cache_root() -> Path:
     """The shared per-user build directory (outside the result store).
 
     A home without a writable cache directory (read-only or missing)
-    builds under the system temp directory instead, still once per
-    digest for the machine's user.
+    builds under a private directory in the system temp directory
+    instead, still once per digest for the machine's user.
     """
     base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
     root = Path(base) / "repro" / "native"
@@ -86,7 +91,29 @@ def cache_root() -> Path:
         pass
     if os.access(root, os.W_OK):
         return root
-    return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+    private = Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+    try:
+        private.mkdir(mode=0o700, exist_ok=True)
+    except OSError as error:
+        raise NativeBuildError(
+            f"{root} is not writable and {private} cannot be created "
+            f"({error}); point XDG_CACHE_HOME at a writable directory, "
+            f"or {HINT}"
+        )
+    info = os.lstat(private)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise NativeBuildError(
+            f"{root} is not writable, and {private} is not a private "
+            f"directory of this user (uid {info.st_uid}, mode "
+            f"{stat.filemode(info.st_mode)}), so the native drain is "
+            f"neither built nor loaded from it; point XDG_CACHE_HOME at a "
+            f"writable directory, or {HINT}"
+        )
+    return private
 
 
 def artifact_path(root: Optional[Path] = None) -> Path:

@@ -11,8 +11,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -259,10 +261,46 @@ class TestDelegation:
         assert state(scalar) == state(native)
 
 
-def test_unwritable_cache_home_builds_under_temp(tmp_path, monkeypatch):
+def _unwritable_home(tmp_path, monkeypatch):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
+def test_unwritable_cache_home_builds_under_private_temp(tmp_path,
+                                                         monkeypatch):
+    temp = _unwritable_home(tmp_path, monkeypatch)
     root = build.cache_root()
-    assert not str(root).startswith(str(blocker))
-    assert root.name.startswith("repro-native-")
+    assert root == temp / f"repro-native-{os.getuid()}"
+    info = os.lstat(root)
+    assert stat.S_ISDIR(info.st_mode) and info.st_uid == os.getuid()
+    assert info.st_mode & 0o077 == 0
+    assert build.cache_root() == root  # an existing private dir is reused
+
+
+@pytest.mark.parametrize("planted", ["other-owner", "shared", "symlink"])
+def test_temp_build_dir_of_someone_else_is_refused(tmp_path, monkeypatch,
+                                                   planted):
+    """Another local user can create ``<tmp>/repro-native-<uid>`` first
+    and plant a shared object in it; such a directory is never used."""
+    temp = _unwritable_home(tmp_path, monkeypatch)
+    uid = os.getuid()
+    if planted == "other-owner":
+        # The directory exists, owned by this process's real uid, while
+        # the cache is asked for on behalf of another uid.
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        (temp / f"repro-native-{uid + 1}").mkdir(mode=0o700)
+    elif planted == "shared":
+        shared = temp / f"repro-native-{uid}"
+        shared.mkdir()
+        shared.chmod(0o777)
+    else:
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        (temp / f"repro-native-{uid}").symlink_to(target)
+    with pytest.raises(build.NativeBuildError, match="XDG_CACHE_HOME"):
+        build.cache_root()
